@@ -39,7 +39,7 @@ from .equilibrium import (
     revenue,
     solve_equilibrium,
 )
-from .errors import BracketError, ConvergenceError, InvalidParamsError
+from .errors import BracketError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
 
@@ -516,16 +516,19 @@ def main(argv=None) -> int:
     try:
         cfg = _make_run_config(ns)
         text = _DISPATCH[cfg.command](cfg)
+        if cfg.output:
+            try:
+                Path(cfg.output).write_bytes(text.encode("utf-8"))
+            except OSError as exc:
+                raise InvalidParamsError(f"cannot write {cfg.output}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, ConvergenceError) as exc:
+    except BracketError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    if cfg.output:
-        Path(cfg.output).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, InvalidParamsError
+from ._bisect import find_crossing
+from .errors import InvalidParamsError
 
 __all__ = [
     "SupportInterval",
@@ -78,74 +79,17 @@ def adaptive_simpson(
 # Regularized incomplete beta function
 # ---------------------------------------------------------------------------
 
-_FPMIN = 1e-300
-
-
-def _beta_contfrac(a: float, b: float, x: float, max_iter: int = 500) -> float:
-    # Modified Lentz evaluation of the standard continued fraction for I_x(a,b).
-    eps = 1e-16
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
-
-
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
+    """Regularized incomplete beta function I_x(a, b), by ``scipy.special.betainc``.
 
-    Continued-fraction evaluation with the usual symmetry switch at
-    ``x > (a + 1) / (a + b + 2)``, accurate to better than 1e-12 absolute.
+    Checks the domain first, raising :class:`InvalidParamsError` where scipy
+    would return NaN.
     """
     if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidParamsError(f"beta shape parameters must be positive, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise InvalidParamsError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+    return float(special.betainc(a, b, x))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +192,9 @@ class Uniform(Distribution):
 class Beta(Distribution):
     """Beta(a, b) law on [0, 1].
 
-    The CDF is the regularized incomplete beta function; the upper partial
-    expectation uses ``a/(a+b) * (1 - I_t(a+1, b))``.  Sampling is the
-    inverse-CDF transform of unit uniforms.
+    The CDF is the regularized incomplete beta function
+    (``scipy.special.betainc``); the upper partial expectation uses
+    ``a/(a+b) * (1 - I_t(a+1, b))``.  Sampling is numpy's ``Generator.beta``.
     """
 
     def __init__(self, a: float, b: float):
@@ -273,7 +217,7 @@ class Beta(Distribution):
             return 0.0
         if x >= 1.0:
             return 1.0
-        return regularized_incomplete_beta(self.a, self.b, x)
+        return float(special.betainc(self.a, self.b, x))
 
     def pdf(self, x: float) -> float:
         if x < 0.0 or x > 1.0:
@@ -298,12 +242,10 @@ class Beta(Distribution):
             return self.mean()
         if t >= 1.0:
             return 0.0
-        return self.mean() * (1.0 - regularized_incomplete_beta(self.a + 1.0, self.b, t))
+        return self.mean() * (1.0 - float(special.betainc(self.a + 1.0, self.b, t)))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return float(special.betaincinv(self.a, self.b, rng.random()))
-        return special.betaincinv(self.a, self.b, rng.random(size))
+        return rng.beta(self.a, self.b, size)
 
 
 class QuadratureDistribution(Distribution):
@@ -312,8 +254,8 @@ class QuadratureDistribution(Distribution):
     The density need not be normalized: the normalization constant is
     computed once by quadrature.  CDF and partial expectation are evaluated
     by adaptive Simpson integration (absolute tolerance ``tol``), sampling by
-    bisection of the CDF to 1e-12.  Intended for experimentation, not for
-    large simulation runs; all evaluations cost a quadrature.
+    bisection of the CDF to adjacent floats.  Intended for experimentation,
+    not for large simulation runs; all evaluations cost a quadrature.
     """
 
     def __init__(
@@ -360,14 +302,7 @@ class QuadratureDistribution(Distribution):
         return adaptive_simpson(lambda x: x * self._raw_pdf(x), t, hi, self._tol) / self._norm
 
     def _invert_cdf(self, u: float) -> float:
-        lo, hi = self._support.lo, self._support.hi
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return find_crossing(lambda x: u - self.cdf(x), self._support.lo, self._support.hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if size is None:

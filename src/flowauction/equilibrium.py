@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from ._bisect import find_crossing
 from .distributions import Distribution
-from .errors import BracketError, InvalidParamsError
+from .errors import InvalidParamsError
 
 __all__ = [
     "AuctionParams",
@@ -37,9 +38,6 @@ __all__ = [
     "effective_spread",
     "revenue",
 ]
-
-_MAX_BRACKET_DOUBLINGS = 64
-_MAX_BISECT_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class AuctionParams:
             raise InvalidParamsError(f"strike must be finite, got {self.strike}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParamsError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.p < 0.0 or self.q < 0.0 or self.p + self.q > 1.0:
+        if not (self.p >= 0.0 and self.q >= 0.0 and self.p + self.q <= 1.0):
             raise InvalidParamsError(
                 f"forced-outcome probabilities need p >= 0, q >= 0, p + q <= 1; got p={self.p}, q={self.q}"
             )
@@ -200,31 +198,6 @@ def solve_equilibrium(
         b_hi = (hi_support - params.strike) / (1.0 - params.alpha)
     else:
         b_hi = hi_support - params.strike
-    f_hi = expected_utility(d, params, b_hi)
-    doublings = 0
-    while f_hi > 0.0:
-        if doublings >= _MAX_BRACKET_DOUBLINGS:
-            raise BracketError(
-                f"no sign change in expected utility up to bid {b_hi}; "
-                "this should be unreachable for valid inputs"
-            )
-        b_hi *= 2.0
-        doublings += 1
-        f_hi = expected_utility(d, params, b_hi)
-
-    lo, hi = 0.0, b_hi
-    for _ in range(_MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # bracket collapsed to adjacent floats
-            break
-        fm = expected_utility(d, params, mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    b_star = 0.5 * (lo + hi)
+    b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, b_hi)
     residual = expected_utility(d, params, b_star)
     return _finish(d, params, b_star, residual, SolutionStatus.INTERIOR_ROOT)

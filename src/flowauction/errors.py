@@ -15,4 +15,4 @@ class BracketError(AuctionError, RuntimeError):
 
 
 class ConvergenceError(AuctionError, ArithmeticError):
-    """An iterative numerical scheme failed to converge within its budget."""
+    """An iterative scheme failed to converge; kept as public API, nothing here raises it now."""

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bisect import find_crossing
 from .distributions import Distribution
 from .equilibrium import AuctionParams
-from .errors import BracketError, InvalidParamsError
+from .errors import InvalidParamsError
 
 __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_bid"]
 
@@ -39,6 +40,9 @@ class SimConfig:
     bid: float
 
     def __post_init__(self):
+        counts = (self.n_trials, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+            raise InvalidParamsError(f"n_trials and seed must be integers, got {counts!r}")
         if self.n_trials < 1:
             raise InvalidParamsError(f"n_trials must be >= 1, got {self.n_trials}")
         if not 0 <= self.seed < 2**64:
@@ -217,20 +221,4 @@ def calibrate_zero_profit_bid(
     else:
         b_hi = hi_support - params.strike
     b_hi = abs(b_hi) if b_hi != 0.0 else 1.0
-    doublings = 0
-    while empirical_eu(b_hi) > 0.0:
-        if doublings >= 64:
-            raise BracketError(f"empirical utility shows no sign change up to bid {b_hi}")
-        b_hi *= 2.0
-        doublings += 1
-
-    lo, hi = 0.0, b_hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if empirical_eu(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return find_crossing(empirical_eu, 0.0, b_hi)

@@ -58,6 +58,19 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--dist", "cauchy:0,1", "--alpha", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_nan_forced_probability_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "solve", "--alpha", "0.5", flag, "nan")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_beta_shapes_solve(self, capsys):
+        code, out, _ = run(capsys, "solve", "--dist", "beta:1e6,1e6", "--alpha", "0.5")
+        assert code == 0
+        header, data = parse_csv(out)
+        assert dict(zip(header, data[0]))["status"] == "interior_root"
+
     def test_json_object(self, capsys):
         code, out, _ = run(capsys, "solve", "--alpha", "0.25", "--format", "json")
         assert code == 0
@@ -197,6 +210,13 @@ class TestConfigAndOutput:
         assert code == 0
         _, stdout_text, _ = run(capsys, "sweep", "--alpha-grid", "0,1,5")
         assert path.read_bytes() == stdout_text.encode()
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "x.csv"
+        code, out, err = run(capsys, "solve", "--alpha", "0.5", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
 
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -124,6 +124,10 @@ class TestBeta:
     def test_symmetry(self):
         assert Beta(2.0, 2.0).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
 
+    def test_huge_shapes_cdf(self):
+        # the median of a symmetric law, however concentrated it is
+        assert Beta(1e6, 1e6).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
+
     def test_mean(self):
         assert Beta(2.0, 5.0).mean() == pytest.approx(2 / 7, abs=1e-15)
 
@@ -274,6 +278,13 @@ class TestSampling:
         u = rng_from(5).random(40)
         expected = special.betaincinv(2.0, 2.0, u)
         assert np.max(np.abs(x - expected)) <= 1e-9
+
+    def test_quadrature_law_sampling_far_from_zero(self):
+        # near 1e4 adjacent floats are ~1.8e-12 apart: bisection must stop on adjacency
+        support = SupportInterval(1e4, 1e4 + 1.0)
+        x = QuadratureDistribution(lambda _: 1.0, support).sample(rng_from(3), size=3)
+        assert x.shape == (3,)
+        assert np.all((x >= support.lo) & (x <= support.hi))
 
 
 # ---------------------------------------------------------------------------

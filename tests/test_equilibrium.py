@@ -187,6 +187,10 @@ class TestAuctionParams:
             dict(strike=0.5, alpha=0.5, q=-0.2),
             dict(strike=0.5, alpha=0.5, p=0.7, q=0.7),
             dict(strike=math.nan, alpha=0.5),
+            dict(strike=0.5, alpha=0.5, p=math.nan),
+            dict(strike=0.5, alpha=0.5, q=math.nan),
+            dict(strike=0.5, alpha=0.5, p=math.inf),
+            dict(strike=0.5, alpha=0.5, q=-math.inf),
         ],
     )
     def test_invalid(self, kwargs):

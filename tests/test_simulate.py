@@ -131,6 +131,13 @@ class TestSimulateAuction:
         with pytest.raises(InvalidParamsError):
             SimConfig(n_trials=10, seed=0, bid=math.inf)
 
+    @pytest.mark.parametrize(
+        "n_trials, seed", [(True, 1), (10, True), (10.0, 1), (10, 1.5), (10, "1")]
+    )
+    def test_config_rejects_non_integer_counts(self, n_trials, seed):
+        with pytest.raises(InvalidParamsError):
+            SimConfig(n_trials=n_trials, seed=seed, bid=0.1)
+
 
 class TestCalibration:
     def test_uniform_all_upfront(self):
