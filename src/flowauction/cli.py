@@ -13,10 +13,14 @@ Subcommands::
 Carlo run with analytic comparison columns and z-scores, ``compare-oracle``
 the corrected/published/numeric bid comparison for uniform[0,1], K = 1/2.
 
-Output is CSV (floats at 12 significant digits, undefined values as empty
-fields) or JSON (full precision, re-serializable byte-for-byte).  Exit codes:
-0 success, 2 configuration error, 3 internal numeric failure.  Flags override
-values from an optional ``--config`` file of ``key = value`` lines.
+Records are the fields of the library's result dataclasses, written by one
+renderer as CSV (header from the record keys, floats at 12 significant
+digits, undefined values as empty fields) or JSON (full precision,
+re-serializable byte-for-byte).  Every option is declared once in
+``OPTIONS``, which yields the subcommand flags, the keys accepted in a
+``--config`` file of ``key = value`` lines, and their merge: a flag wins over
+the config file, which wins over the default.  Exit codes: 0 success,
+2 configuration error, 3 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution, DistributionSpec
+from .distributions import DistributionSpec
 from .equilibrium import (
     AuctionParams,
-    EquilibriumSolution,
     effective_spread,
     execution_probability,
     expected_utility,
@@ -43,123 +48,12 @@ from .errors import BracketError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
 
-__all__ = ["RunConfig", "SweepRow", "main"]
+__all__ = ["main"]
 
 DEFAULT_DIST = "uniform:0,1"
 DEFAULT_STRIKE = 0.5
-DEFAULT_TOL = 1e-12
-DEFAULT_SEED = 42
-DEFAULT_N_TRIALS = 1_000_000
-DEFAULT_GRID = (0.0, 1.0, 101)
 FIGURE2_DISTS = ("beta:2,2", "beta:2,5", "beta:5,2", "beta:0.5,0.5")
 
-SWEEP_COLUMNS = (
-    "alpha",
-    "b_star",
-    "threshold",
-    "p_exec",
-    "effective_spread",
-    "revenue",
-    "residual",
-    "status",
-)
-
-SIMULATE_COLUMNS = (
-    "alpha",
-    "bid",
-    "n_trials",
-    "seed",
-    "n_exec",
-    "mean_utility",
-    "se_utility",
-    "exec_rate",
-    "se_exec",
-    "mean_revenue",
-    "se_revenue",
-    "mean_spread_given_exec",
-    "se_spread",
-    "analytic_utility",
-    "analytic_p_exec",
-    "analytic_revenue",
-    "analytic_spread",
-    "z_utility",
-    "z_exec",
-    "z_revenue",
-    "z_spread",
-)
-
-ORACLE_COLUMNS = (
-    "alpha",
-    "corrected_bid",
-    "published_bid",
-    "numeric_bid",
-    "corrected_minus_numeric",
-    "published_minus_numeric",
-)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of an alpha sweep."""
-
-    alpha: float
-    b_star: float
-    threshold: float
-    p_exec: float
-    effective_spread: float | None
-    revenue: float
-    residual: float
-    status: str
-
-    @classmethod
-    def from_solution(cls, alpha: float, sol: EquilibriumSolution) -> "SweepRow":
-        return cls(
-            alpha=alpha,
-            b_star=sol.b_star,
-            threshold=sol.threshold,
-            p_exec=sol.p_exec,
-            effective_spread=sol.effective_spread,
-            revenue=sol.revenue,
-            residual=sol.residual,
-            status=sol.status.value,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "b_star": self.b_star,
-            "threshold": self.threshold,
-            "p_exec": self.p_exec,
-            "effective_spread": self.effective_spread,
-            "revenue": self.revenue,
-            "residual": self.residual,
-            "status": self.status,
-        }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully merged and validated settings for one CLI invocation."""
-
-    command: str
-    dists: tuple[DistributionSpec, ...]
-    strike: float
-    alpha: float | None
-    alpha_grid: tuple[float, ...]
-    p: float
-    q: float
-    tol: float
-    n_trials: int
-    seed: int
-    bid: float | None
-    fmt: str
-    figure2: bool
-    output: str | None
-
-
-# ---------------------------------------------------------------------------
-# Rendering helpers
-# ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
     if value is None:
@@ -177,93 +71,22 @@ def _fmt(value) -> str:
     return format(x, ".12g")
 
 
-def _csv_text(header, rows, footer: str | None = None) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    if footer is not None:
-        lines.append(footer)
+def render(records: list[dict], fmt: str, *, one: bool = False, summary: dict | None = None) -> str:
+    """Write ``records`` as CSV or JSON; ``one`` makes the JSON an object, not a list.
+
+    ``summary`` values follow the rows: a ``# key=value`` CSV footer, or keys
+    beside a JSON ``rows`` list.
+    """
+    if fmt == "json":
+        payload = records[0] if one else records
+        if summary is not None:
+            payload = {"rows": records, **summary}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(records[0])]
+    lines.extend(",".join(_fmt(v) for v in record.values()) for record in records)
+    if summary is not None:
+        lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
     return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Argument and config-file handling
-# ---------------------------------------------------------------------------
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flowauction",
-        description="Equilibrium bids, execution probability, revenue and effective "
-        "spread for order flow auctions with mixed upfront/contingent fees.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *, grid: bool, single_alpha: bool, sim: bool, figure2: bool):
-        sp.add_argument("--dist", action="append", metavar="SPEC",
-                        help="distribution spec: uniform:<lo>,<hi> or beta:<a>,<b>")
-        sp.add_argument("--strike", type=float, metavar="K")
-        if single_alpha:
-            sp.add_argument("--alpha", type=float, metavar="A",
-                            help="upfront share of the bid, in [0,1]")
-        if grid:
-            sp.add_argument("--alpha-grid", dest="alpha_grid", metavar="START,STOP,POINTS")
-        sp.add_argument("--p", type=float, metavar="P", help="forced-execution probability")
-        sp.add_argument("--q", type=float, metavar="Q", help="forced-failure probability")
-        sp.add_argument("--tol", type=float, metavar="TOL")
-        if sim:
-            sp.add_argument("--n", dest="n_trials", type=int, metavar="N")
-            sp.add_argument("--seed", type=int, metavar="SEED")
-            sp.add_argument("--bid", type=float, metavar="B",
-                            help="override the analytic equilibrium bid")
-        if figure2:
-            sp.add_argument("--figure2", action="store_true", default=None,
-                            help="sweep the four default Beta laws and add a dist column")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        sp.add_argument("--config", metavar="PATH", help="key = value defaults file")
-        sp.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
-
-    add_common(sub.add_parser("solve", help="solve a single equilibrium"),
-               grid=False, single_alpha=True, sim=False, figure2=False)
-    add_common(sub.add_parser("sweep", help="solve on an alpha grid"),
-               grid=True, single_alpha=False, sim=False, figure2=True)
-    add_common(sub.add_parser("simulate", help="Monte Carlo validation run"),
-               grid=False, single_alpha=True, sim=True, figure2=False)
-    add_common(sub.add_parser("compare-oracle", help="closed-form vs numeric bid comparison"),
-               grid=True, single_alpha=False, sim=False, figure2=False)
-    return parser
-
-
-_CONFIG_KEYS = {
-    "dist", "strike", "alpha", "alpha-grid", "p", "q", "tol",
-    "n", "seed", "bid", "format", "figure2", "output",
-}
-
-
-def _load_config_file(path: str) -> dict:
-    out: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidParamsError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise InvalidParamsError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise InvalidParamsError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key == "dist":
-            out.setdefault("dist", []).append(value)
-        else:
-            out[key] = value
-    return out
 
 
 def _parse_bool(text: str) -> bool:
@@ -291,134 +114,151 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(a) for a in np.linspace(start, stop, points))
 
 
-def _make_run_config(ns: argparse.Namespace) -> RunConfig:
-    config = _load_config_file(ns.config) if ns.config else {}
+class Option(NamedTuple):
+    """One subcommand flag and the config-file key that sets the same value."""
 
-    def pick(attr: str, key: str, conv, default):
-        flag = getattr(ns, attr, None)
-        if flag is not None:
-            return flag
-        if key in config:
-            try:
-                return conv(config[key])
-            except InvalidParamsError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise InvalidParamsError(
-                    f"bad config value for {key!r}: {config[key]!r}"
-                ) from exc
-        return default
+    flag: str
+    key: str | None  # None: cannot be set from a config file
+    conv: Callable[[str], object]  # text -> value, for the flag and the config file
+    default: object
+    commands: tuple[str, ...]
+    argparse_kwargs: dict
+
+
+ALL = ("solve", "sweep", "simulate", "compare-oracle")
+SINGLE = ("solve", "simulate")
+
+OPTIONS = (
+    Option("--dist", "dist", str, None, ALL, dict(
+        action="append", metavar="SPEC",
+        help="distribution spec: uniform:<lo>,<hi> or beta:<a>,<b>")),
+    Option("--strike", "strike", float, DEFAULT_STRIKE, ALL, dict(metavar="K")),
+    Option("--alpha", "alpha", float, None, SINGLE, dict(
+        metavar="A", help="upfront share of the bid, in [0,1]")),
+    Option("--alpha-grid", "alpha-grid", str, "0,1,101", ("sweep", "compare-oracle"),
+           dict(metavar="START,STOP,POINTS")),
+    Option("--p", "p", float, 0.0, ALL, dict(metavar="P", help="forced-execution probability")),
+    Option("--q", "q", float, 0.0, ALL, dict(metavar="Q", help="forced-failure probability")),
+    Option("--tol", "tol", float, 1e-12, ALL, dict(metavar="TOL")),
+    Option("--n", "n", int, 1_000_000, ("simulate",), dict(metavar="N")),
+    Option("--seed", "seed", int, 42, ("simulate",), dict(metavar="SEED")),
+    Option("--bid", "bid", float, None, ("simulate",), dict(
+        metavar="B", help="override the analytic equilibrium bid")),
+    Option("--figure2", "figure2", _parse_bool, False, ("sweep",), dict(
+        action="store_true", default=None,
+        help="sweep the four default Beta laws and add a dist column")),
+    Option("--format", "format", str, "csv", ALL, dict(choices=("csv", "json"))),
+    Option("--config", None, str, None, ALL, dict(
+        metavar="PATH", help="key = value defaults file")),
+    Option("--output", "output", str, None, ALL, dict(
+        metavar="PATH", help="write output here instead of stdout")),
+)
+_BY_KEY = {opt.key: opt for opt in OPTIONS if opt.key is not None}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="flowauction",
+        description="Equilibrium bids, execution probability, revenue and effective "
+        "spread for order flow auctions with mixed upfront/contingent fees.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                kwargs = dict(opt.argparse_kwargs)
+                if kwargs.get("action") != "store_true":
+                    kwargs["type"] = opt.conv
+                sp.add_argument(opt.flag, **kwargs)
+    return parser
+
+
+def _load_config_file(path: str) -> dict:
+    out: dict = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise InvalidParamsError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        value = value.strip()
+        if key not in _BY_KEY:
+            raise InvalidParamsError(f"{path}:{lineno}: unknown config key {key!r}")
+        if _BY_KEY[key].argparse_kwargs.get("action") == "append":
+            out.setdefault(key, []).append(value)
+        else:
+            out[key] = value
+    return out
+
+
+def _from_config(opt: Option, text):
+    try:
+        return [opt.conv(t) for t in text] if isinstance(text, list) else opt.conv(text)
+    except InvalidParamsError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"bad config value for {opt.key!r}: {text!r}") from exc
+
+
+def _settings(ns: argparse.Namespace) -> argparse.Namespace:
+    """Merge flags, the config file and defaults into ``ns``, then validate."""
+    config = _load_config_file(ns.config) if ns.config else {}
+    for key, opt in _BY_KEY.items():
+        dest = key.replace("-", "_")  # argparse's name for the flag's value
+        value = getattr(ns, dest, None)
+        if value is None and key in config:
+            value = _from_config(opt, config[key])
+        setattr(ns, dest, opt.default if value is None else value)
 
     command = ns.command
-    dist_texts = pick("dist", "dist", lambda v: v, None)
-    figure2 = bool(pick("figure2", "figure2", _parse_bool, False))
-    if figure2 and command != "sweep":
+    if ns.figure2 and command != "sweep":
         raise InvalidParamsError("--figure2 applies to the sweep command only")
-
     if command == "compare-oracle":
         # fixed to the case the closed forms cover
-        if dist_texts is not None and list(dist_texts) != [DEFAULT_DIST]:
+        if ns.dist is not None and ns.dist != [DEFAULT_DIST]:
             raise InvalidParamsError("compare-oracle is fixed to --dist uniform:0,1")
-        strike_flag = pick("strike", "strike", float, None)
-        if strike_flag is not None and strike_flag != DEFAULT_STRIKE:
+        if ns.strike != DEFAULT_STRIKE:
             raise InvalidParamsError("compare-oracle is fixed to --strike 0.5")
-        dist_texts = [DEFAULT_DIST]
-
-    if dist_texts is None:
-        dist_texts = FIGURE2_DISTS if figure2 else (DEFAULT_DIST,)
-    dists = tuple(DistributionSpec.parse(t) for t in dist_texts)
-    if command in ("solve", "simulate") and len(dists) != 1:
-        raise InvalidParamsError(f"{command} takes exactly one --dist")
-
-    alpha = pick("alpha", "alpha", float, None)
-    if command in ("solve", "simulate"):
-        if alpha is None:
+    dist_texts = ns.dist or (FIGURE2_DISTS if ns.figure2 else (DEFAULT_DIST,))
+    ns.dists = tuple(DistributionSpec.parse(t) for t in dist_texts)
+    if command in SINGLE:
+        if len(ns.dists) != 1:
+            raise InvalidParamsError(f"{command} takes exactly one --dist")
+        if ns.alpha is None:
             raise InvalidParamsError(f"{command} requires --alpha")
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidParamsError(f"alpha must lie in [0, 1], got {alpha}")
-
-    grid_text = pick("alpha_grid", "alpha-grid", lambda v: v, None)
-    if grid_text is not None:
-        alpha_grid = _parse_grid(grid_text)
-    else:
-        alpha_grid = tuple(float(a) for a in np.linspace(*DEFAULT_GRID))
-
-    p = pick("p", "p", float, 0.0)
-    q = pick("q", "q", float, 0.0)
-    tol = pick("tol", "tol", float, DEFAULT_TOL)
-    n_trials = int(pick("n_trials", "n", int, DEFAULT_N_TRIALS))
-    seed = int(pick("seed", "seed", int, DEFAULT_SEED))
-    bid = pick("bid", "bid", float, None)
-    fmt = pick("fmt", "format", lambda v: v, "csv")
-    if fmt not in ("csv", "json"):
-        raise InvalidParamsError(f"format must be csv or json, got {fmt!r}")
-    output = pick("output", "output", lambda v: v, None)
-
-    return RunConfig(
-        command=command,
-        dists=dists,
-        strike=float(pick("strike", "strike", float, DEFAULT_STRIKE)),
-        alpha=alpha,
-        alpha_grid=alpha_grid,
-        p=float(p),
-        q=float(q),
-        tol=float(tol),
-        n_trials=n_trials,
-        seed=seed,
-        bid=bid,
-        fmt=fmt,
-        figure2=figure2,
-        output=output,
-    )
+        if not 0.0 <= ns.alpha <= 1.0:
+            raise InvalidParamsError(f"alpha must lie in [0, 1], got {ns.alpha}")
+    ns.alpha_grid = _parse_grid(ns.alpha_grid)
+    if ns.format not in ("csv", "json"):
+        raise InvalidParamsError(f"format must be csv or json, got {ns.format!r}")
+    return ns
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-def _solution_values(row: SweepRow) -> list:
-    return [
-        row.alpha,
-        row.b_star,
-        row.threshold,
-        row.p_exec,
-        row.effective_spread,
-        row.revenue,
-        row.residual,
-        row.status,
-    ]
-
-
-def cmd_solve(cfg: RunConfig) -> str:
-    d = cfg.dists[0].build()
-    params = AuctionParams(strike=cfg.strike, alpha=cfg.alpha, p=cfg.p, q=cfg.q)
-    row = SweepRow.from_solution(cfg.alpha, solve_equilibrium(d, params, cfg.tol))
-    if cfg.fmt == "json":
-        return _json_text(row.as_dict())
-    return _csv_text(SWEEP_COLUMNS, [_solution_values(row)])
-
-
-def cmd_sweep(cfg: RunConfig) -> str:
-    multi = cfg.figure2 or len(cfg.dists) > 1
-    labeled_rows: list[tuple[str, SweepRow]] = []
+def _solution_records(cfg, alphas) -> list[dict]:
+    labeled = cfg.figure2 or len(cfg.dists) > 1
+    records = []
     for spec in cfg.dists:
         d = spec.build()
-        for alpha in cfg.alpha_grid:
+        for alpha in alphas:
             sol = solve_equilibrium(d, AuctionParams(cfg.strike, alpha, cfg.p, cfg.q), cfg.tol)
-            labeled_rows.append((str(spec), SweepRow.from_solution(alpha, sol)))
-    if cfg.fmt == "json":
-        payload = []
-        for label, row in labeled_rows:
-            obj = {"dist": label, **row.as_dict()} if multi else row.as_dict()
-            payload.append(obj)
-        return _json_text(payload)
-    if multi:
-        header = ("dist",) + SWEEP_COLUMNS
-        rows = [[label] + _solution_values(row) for label, row in labeled_rows]
-    else:
-        header = SWEEP_COLUMNS
-        rows = [_solution_values(row) for _, row in labeled_rows]
-    return _csv_text(header, rows)
+            record = {"alpha": alpha, **asdict(sol)}
+            records.append({"dist": str(spec), **record} if labeled else record)
+    return records
+
+
+def cmd_solve(cfg) -> str:
+    return render(_solution_records(cfg, (cfg.alpha,)), cfg.format, one=True)
+
+
+def cmd_sweep(cfg) -> str:
+    return render(_solution_records(cfg, cfg.alpha_grid), cfg.format)
 
 
 def _z_score(empirical: float | None, analytic: float | None, se: float) -> float | None:
@@ -429,31 +269,24 @@ def _z_score(empirical: float | None, analytic: float | None, se: float) -> floa
     return 0.0 if empirical == analytic else None
 
 
-def cmd_simulate(cfg: RunConfig) -> str:
+def cmd_simulate(cfg) -> str:
     d = cfg.dists[0].build()
     params = AuctionParams(strike=cfg.strike, alpha=cfg.alpha, p=cfg.p, q=cfg.q)
     bid = cfg.bid if cfg.bid is not None else solve_equilibrium(d, params, cfg.tol).b_star
-    res = simulate_auction(d, params, SimConfig(n_trials=cfg.n_trials, seed=cfg.seed, bid=bid))
+    res = simulate_auction(d, params, SimConfig(n_trials=cfg.n, seed=cfg.seed, bid=bid))
 
     analytic_utility = expected_utility(d, params, bid)
     analytic_p_exec = execution_probability(d, params, bid)
     analytic_revenue = revenue(params, bid, analytic_p_exec)
     analytic_spread = effective_spread(d, params, bid)
 
-    values = {
+    record = {
         "alpha": cfg.alpha,
         "bid": bid,
-        "n_trials": cfg.n_trials,
+        "n_trials": cfg.n,
         "seed": cfg.seed,
-        "n_exec": res.n_exec,
-        "mean_utility": res.mean_utility,
-        "se_utility": res.se_utility,
-        "exec_rate": res.exec_rate,
-        "se_exec": res.se_exec,
-        "mean_revenue": res.mean_revenue,
-        "se_revenue": res.se_revenue,
-        "mean_spread_given_exec": res.mean_spread_given_exec,
-        "se_spread": res.se_spread,
+        "n_exec": res.n_exec,  # placed before the other SimResult fields, which keep their order
+        **asdict(res),
         "analytic_utility": analytic_utility,
         "analytic_p_exec": analytic_p_exec,
         "analytic_revenue": analytic_revenue,
@@ -463,59 +296,31 @@ def cmd_simulate(cfg: RunConfig) -> str:
         "z_revenue": _z_score(res.mean_revenue, analytic_revenue, res.se_revenue),
         "z_spread": _z_score(res.mean_spread_given_exec, analytic_spread, res.se_spread),
     }
-    if cfg.fmt == "json":
-        return _json_text(values)
-    return _csv_text(SIMULATE_COLUMNS, [[values[c] for c in SIMULATE_COLUMNS]])
+    return render([record], cfg.format, one=True)
 
 
-def cmd_compare_oracle(cfg: RunConfig) -> str:
+def cmd_compare_oracle(cfg) -> str:
     reports = build_oracle_reports(cfg.alpha_grid, cfg.tol)
-    max_corrected = max(abs(r.corrected_minus_numeric) for r in reports)
-    max_published = max(abs(r.published_minus_numeric) for r in reports)
-    if cfg.fmt == "json":
-        return _json_text(
-            {
-                "rows": [
-                    {
-                        "alpha": r.alpha,
-                        "corrected_bid": r.corrected_bid,
-                        "published_bid": r.published_bid,
-                        "numeric_bid": r.numeric_bid,
-                        "corrected_minus_numeric": r.corrected_minus_numeric,
-                        "published_minus_numeric": r.published_minus_numeric,
-                    }
-                    for r in reports
-                ],
-                "max_abs_corrected_minus_numeric": max_corrected,
-                "max_abs_published_minus_numeric": max_published,
-            }
-        )
-    rows = [
-        [r.alpha, r.corrected_bid, r.published_bid, r.numeric_bid,
-         r.corrected_minus_numeric, r.published_minus_numeric]
-        for r in reports
-    ]
-    footer = (
-        f"# max_abs_corrected_minus_numeric={_fmt(max_corrected)}"
-        f" max_abs_published_minus_numeric={_fmt(max_published)}"
-    )
-    return _csv_text(ORACLE_COLUMNS, rows, footer=footer)
+    summary = {
+        "max_abs_corrected_minus_numeric": max(abs(r.corrected_minus_numeric) for r in reports),
+        "max_abs_published_minus_numeric": max(abs(r.published_minus_numeric) for r in reports),
+    }
+    return render([asdict(r) for r in reports], cfg.format, summary=summary)
 
 
-_DISPATCH = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "compare-oracle": cmd_compare_oracle,
+COMMANDS = {
+    "solve": ("solve a single equilibrium", cmd_solve),
+    "sweep": ("solve on an alpha grid", cmd_sweep),
+    "simulate": ("Monte Carlo validation run", cmd_simulate),
+    "compare-oracle": ("closed-form vs numeric bid comparison", cmd_compare_oracle),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = _make_run_config(ns)
-        text = _DISPATCH[cfg.command](cfg)
+        cfg = _settings(ns)
+        text = COMMANDS[cfg.command][1](cfg)
         if cfg.output:
             try:
                 Path(cfg.output).write_bytes(text.encode("utf-8"))
