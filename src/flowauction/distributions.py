@@ -193,7 +193,8 @@ class Beta(Distribution):
     """Beta(a, b) law on [0, 1].
 
     The CDF is the regularized incomplete beta function
-    (``scipy.special.betainc``); the upper partial expectation uses
+    (``scipy.special.betainc``), above 1/2 by the reflection
+    ``I_x(a, b) = 1 - I_{1-x}(b, a)``; the upper partial expectation uses
     ``a/(a+b) * (1 - I_t(a+1, b))``.  Sampling is numpy's ``Generator.beta``.
     """
 
@@ -217,6 +218,9 @@ class Beta(Distribution):
             return 0.0
         if x >= 1.0:
             return 1.0
+        if x > 0.5:
+            # 1 - x is exact here; betainc(0.5, 0.5, 1 - 2**-53) itself is 2.8e-9 low
+            return 1.0 - float(special.betainc(self.b, self.a, 1.0 - x))
         return float(special.betainc(self.a, self.b, x))
 
     def pdf(self, x: float) -> float:

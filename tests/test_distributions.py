@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from flowauction import (
@@ -124,6 +124,12 @@ class TestBeta:
     def test_symmetry(self):
         assert Beta(2.0, 2.0).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1 - 1e-12, 1 - 2**-53])
+    def test_arcsine_cdf_closed_form(self, x):
+        # Beta(1/2, 1/2) is the arcsine law: I_x = (2/pi) asin(sqrt(x)) = acos(1 - 2x) / pi,
+        # the acos form because its argument stays exact near x = 1
+        assert Beta(0.5, 0.5).cdf(x) == pytest.approx(math.acos(1 - 2 * x) / math.pi, abs=1e-15)
+
     def test_huge_shapes_cdf(self):
         # the median of a symmetric law, however concentrated it is
         assert Beta(1e6, 1e6).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
@@ -184,6 +190,7 @@ def test_partial_expectation_nonincreasing(law_idx, u1, u2):
     law_idx=st.integers(min_value=0, max_value=len(LAWS) - 1),
     u=st.floats(min_value=0.0, max_value=1.0),
 )
+@example(law_idx=3, u=0.9999999999999999)  # Beta(0.5, 0.5) one ulp below 1
 def test_partial_expectation_dominates_threshold_mass(law_idx, u):
     d = LAWS[law_idx]
     lo, hi = d.support.lo, d.support.hi
