@@ -20,13 +20,15 @@ re-serializable byte-for-byte).  Every option is declared once in
 ``OPTIONS``, which yields the subcommand flags, the keys accepted in a
 ``--config`` file of ``key = value`` lines, and their merge: a flag wins over
 the config file, which wins over the default.  Exit codes: 0 success,
-2 configuration error, 3 internal numeric failure.
+2 configuration error, 3 internal numeric failure (no root bracket, or a
+NaN or infinite value in the result, which is never printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
@@ -75,8 +77,13 @@ def render(records: list[dict], fmt: str, *, one: bool = False, summary: dict | 
     """Write ``records`` as CSV or JSON; ``one`` makes the JSON an object, not a list.
 
     ``summary`` values follow the rows: a ``# key=value`` CSV footer, or keys
-    beside a JSON ``rows`` list.
+    beside a JSON ``rows`` list.  A NaN or infinite value raises
+    :class:`FloatingPointError`; None is written as an empty field or null.
     """
+    for record in (*records, summary or {}):
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FloatingPointError(f"{key} is {value}")
     if fmt == "json":
         payload = records[0] if one else records
         if summary is not None:
@@ -320,7 +327,8 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         cfg = _settings(ns)
-        text = COMMANDS[cfg.command][1](cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result exits 3 below
+            text = COMMANDS[cfg.command][1](cfg)
         if cfg.output:
             try:
                 Path(cfg.output).write_bytes(text.encode("utf-8"))
@@ -331,7 +339,7 @@ def main(argv=None) -> int:
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BracketError as exc:
+    except (BracketError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0
