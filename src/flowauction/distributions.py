@@ -203,7 +203,7 @@ class Beta(Distribution):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._ln_beta = math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b)
+        self._ln_beta = float(special.betaln(self.a, self.b))
         self._support = SupportInterval(0.0, 1.0)
 
     def __repr__(self):

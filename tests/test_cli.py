@@ -1,9 +1,17 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flowauction
 from flowauction.cli import main
 
 
@@ -252,3 +260,76 @@ class TestConfigAndOutput:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("figure2 = true\n")
         assert run(capsys, "solve", "--alpha", "1", "--config", str(cfg))[0] == 2
+
+
+class TestExitContract:
+    # hi * hi overflows in Uniform.partial_expectation, so the result holds NaN
+    HUGE = ("--dist", "uniform:0,1e160", "--alpha", "0.5", "--strike=0")
+
+    def test_solve_non_finite_exits_3(self, capsys):
+        code, out, err = run(capsys, "solve", *self.HUGE)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    def test_simulate_non_finite_exits_3_without_warnings(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowauction", "simulate", *self.HUGE, "--n", "2000",
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+
+
+EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e160, -1e160, 1e308, -0.0, 5e-324])
+DIST_RANGES = {"uniform": ((-1.0, 0.5), (0.6, 5.0)), "beta": ((0.1, 5.0), (0.1, 5.0))}
+RANGES = {"strike": (-1.0, 0.5), "alpha": (0.0, 1.0), "p": (0.0, 0.5), "q": (0.0, 0.5),
+          "tol": (1e-15, 1e-6)}
+
+
+@st.composite
+def cli_argv(draw):
+    """A valid run in which up to two of the numbers are replaced by extreme floats."""
+    command = draw(st.sampled_from(["solve", "sweep", "simulate"]))
+    kind = draw(st.sampled_from(sorted(DIST_RANGES)))
+    ranges = dict(zip(("x", "y"), DIST_RANGES[kind]), **RANGES)
+    wild = draw(st.sets(st.sampled_from(sorted(ranges)), max_size=2))
+    v = {name: draw(EXTREMES if name in wild else st.floats(lo, hi))
+         for name, (lo, hi) in ranges.items()}
+    argv = [command, f"--dist={kind}:{v['x']!r},{v['y']!r}",
+            *(f"--{name}={v[name]!r}" for name in ("strike", "p", "q", "tol")),
+            f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+    if command == "sweep":
+        return argv + ["--alpha-grid=0,1,3"]
+    argv.append(f"--alpha={v['alpha']!r}")
+    return argv + ["--n=2000"] if command == "simulate" else argv
+
+
+def reject_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+def test_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        if "--format=json" in argv:
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            for cell in (c for row in parse_csv(out)[1] for c in row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # the status label or an undefined (empty) field
+                assert math.isfinite(value), out
+    else:
+        assert code in (2, 3)
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -130,6 +130,10 @@ class TestBeta:
         # the acos form because its argument stays exact near x = 1
         assert Beta(0.5, 0.5).cdf(x) == pytest.approx(math.acos(1 - 2 * x) / math.pi, abs=1e-15)
 
+    def test_extreme_shape_normalizer(self):
+        # the density at 1 of Beta(a, 1) is 1/B(a, 1) = a; lgamma(1e308) overflowed
+        assert Beta(1e308, 1.0).pdf(1.0) == pytest.approx(1e308)
+
     def test_huge_shapes_cdf(self):
         # the median of a symmetric law, however concentrated it is
         assert Beta(1e6, 1e6).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
