@@ -31,6 +31,16 @@ __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_
 _CHUNK = 1 << 18
 
 
+def _check_count_and_seed(n, seed, n_name: str, n_min: int) -> None:
+    counts = (n, seed)
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+        raise InvalidParamsError(f"{n_name} and seed must be integers, got {counts!r}")
+    if n < n_min:
+        raise InvalidParamsError(f"{n_name} must be >= {n_min}, got {n}")
+    if not 0 <= seed < 2**64:
+        raise InvalidParamsError(f"seed must be a 64-bit nonnegative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Trial count, master seed, and the bid under test."""
@@ -40,13 +50,7 @@ class SimConfig:
     bid: float
 
     def __post_init__(self):
-        counts = (self.n_trials, self.seed)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
-            raise InvalidParamsError(f"n_trials and seed must be integers, got {counts!r}")
-        if self.n_trials < 1:
-            raise InvalidParamsError(f"n_trials must be >= 1, got {self.n_trials}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParamsError(f"seed must be a 64-bit nonnegative integer, got {self.seed}")
+        _check_count_and_seed(self.n_trials, self.seed, "n_trials", 1)
         if not math.isfinite(self.bid):
             raise InvalidParamsError(f"bid must be finite, got {self.bid}")
 
@@ -194,10 +198,7 @@ def calibrate_zero_profit_bid(
             "calibration needs alpha > 0 or p > 0; with both zero the empirical "
             "utility never crosses below zero"
         )
-    if n_per_eval < 2:
-        raise InvalidParamsError(f"n_per_eval must be >= 2, got {n_per_eval}")
-    if not 0 <= seed < 2**64:
-        raise InvalidParamsError(f"seed must be a 64-bit nonnegative integer, got {seed}")
+    _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
     _validate(d, params)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -152,6 +152,14 @@ class TestCalibration:
         ) / (2 * h)
         assert abs(cal - sol.b_star) <= 3.0 * res.se_utility / abs(slope)
 
+    @pytest.mark.parametrize(
+        "n_per_eval, seed", [(True, 1), (1000, True), (1000.5, 1), (1000, 1.5), (1000, "1"), (1, 1)]
+    )
+    def test_rejects_non_integer_counts(self, n_per_eval, seed):
+        params = AuctionParams(strike=0.5, alpha=0.5)
+        with pytest.raises(InvalidParamsError):
+            calibrate_zero_profit_bid(U01, params, n_per_eval=n_per_eval, seed=seed)
+
     def test_rejects_degenerate_setting(self):
         with pytest.raises(InvalidParamsError):
             calibrate_zero_profit_bid(U01, AuctionParams(strike=0.5, alpha=0.0), 1000, 0)
