@@ -137,6 +137,15 @@ def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:
     return params.alpha * b_star + (1.0 - params.alpha) * b_star * p_exec
 
 
+def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
+    """Initial upper bracket of the bid root finders: the bid whose threshold is the support top.
+
+    That is ``(hi - K) / (1 - alpha)``, or ``hi - K`` at ``alpha = 1``.
+    """
+    reach = d.support.hi - params.strike
+    return reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
+
+
 def _finish(d, params, b_star, residual, status) -> EquilibriumSolution:
     p_exec = execution_probability(d, params, b_star)
     return EquilibriumSolution(
@@ -194,10 +203,7 @@ def solve_equilibrium(
     if eu0 <= 0.0:
         return _finish(d, params, 0.0, eu0, SolutionStatus.BOUNDARY_ZERO_BID)
 
-    if params.alpha < 1.0:
-        b_hi = (hi_support - params.strike) / (1.0 - params.alpha)
-    else:
-        b_hi = hi_support - params.strike
+    b_hi = upper_bid_bracket(d, params)
     b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, b_hi)
     residual = expected_utility(d, params, b_star)
     return _finish(d, params, b_star, residual, SolutionStatus.INTERIOR_ROOT)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._bisect import find_crossing
 from .distributions import Distribution
-from .equilibrium import AuctionParams
+from .equilibrium import AuctionParams, upper_bid_bracket
 from .errors import InvalidParamsError
 
 __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_bid"]
@@ -215,11 +215,4 @@ def calibrate_zero_profit_bid(
 
     if empirical_eu(0.0) <= 0.0:
         return 0.0
-
-    hi_support = d.support.hi
-    if params.alpha < 1.0:
-        b_hi = (hi_support - params.strike) / (1.0 - params.alpha)
-    else:
-        b_hi = hi_support - params.strike
-    b_hi = abs(b_hi) if b_hi != 0.0 else 1.0
-    return find_crossing(empirical_eu, 0.0, b_hi)
+    return find_crossing(empirical_eu, 0.0, upper_bid_bracket(d, params))
