@@ -40,6 +40,7 @@ import numpy as np
 from .distributions import DistributionSpec
 from .equilibrium import (
     AuctionParams,
+    check_alpha,
     effective_spread,
     execution_probability,
     expected_utility,
@@ -240,8 +241,7 @@ def _settings(ns: argparse.Namespace) -> argparse.Namespace:
             raise InvalidParamsError(f"{command} takes exactly one --dist")
         if ns.alpha is None:
             raise InvalidParamsError(f"{command} requires --alpha")
-        if not 0.0 <= ns.alpha <= 1.0:
-            raise InvalidParamsError(f"alpha must lie in [0, 1], got {ns.alpha}")
+        check_alpha(ns.alpha)
     ns.alpha_grid = _parse_grid(ns.alpha_grid)
     if ns.format not in ("csv", "json"):
         raise InvalidParamsError(f"format must be csv or json, got {ns.format!r}")

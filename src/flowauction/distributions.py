@@ -80,16 +80,15 @@ def adaptive_simpson(
 # ---------------------------------------------------------------------------
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b), by ``scipy.special.betainc``.
+    """Regularized incomplete beta function I_x(a, b), the CDF of ``Beta(a, b)`` at ``x``.
 
-    Checks the domain first, raising :class:`InvalidParamsError` where scipy
-    would return NaN.
+    Raises :class:`InvalidParamsError` for shapes ``Beta`` rejects and for
+    ``x`` outside [0, 1], where scipy would return NaN.
     """
-    if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParamsError(f"beta shape parameters must be positive, got a={a}, b={b}")
+    law = Beta(a, b)
     if not 0.0 <= x <= 1.0:
         raise InvalidParamsError(f"x must lie in [0, 1], got {x}")
-    return float(special.betainc(a, b, x))
+    return law.cdf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +183,6 @@ class Uniform(Distribution):
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         lo, hi = self._support.lo, self._support.hi
-        if size is None:
-            return lo + (hi - lo) * rng.random()
         return lo + (hi - lo) * rng.random(size)
 
 

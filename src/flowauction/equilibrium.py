@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`InvalidParamsError` unless the upfront share ``alpha`` lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidParamsError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class AuctionParams:
     """Auction-side parameters: strike, upfront share, forced outcomes.
@@ -57,8 +63,7 @@ class AuctionParams:
     def __post_init__(self):
         if not math.isfinite(self.strike):
             raise InvalidParamsError(f"strike must be finite, got {self.strike}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidParamsError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         if not (self.p >= 0.0 and self.q >= 0.0 and self.p + self.q <= 1.0):
             raise InvalidParamsError(
                 f"forced-outcome probabilities need p >= 0, q >= 0, p + q <= 1; got p={self.p}, q={self.q}"
@@ -137,6 +142,15 @@ def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:
     return params.alpha * b_star + (1.0 - params.alpha) * b_star * p_exec
 
 
+def check_execution_right(d: Distribution, params: AuctionParams) -> None:
+    """Raise :class:`InvalidParamsError` if no price beats the strike and nothing forces execution."""
+    if params.strike >= d.support.hi and params.p == 0.0:
+        raise InvalidParamsError(
+            f"strike {params.strike} is not below the support top {d.support.hi}; "
+            "the execution right is worthless"
+        )
+
+
 def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     """Initial upper bracket of the bid root finders: the bid whose threshold is the support top.
 
@@ -188,15 +202,10 @@ def solve_equilibrium(
     """
     if tol <= 0.0 or not math.isfinite(tol):
         raise InvalidParamsError(f"tol must be positive, got {tol}")
-    hi_support = d.support.hi
-    if params.strike >= hi_support and params.p == 0.0:
-        raise InvalidParamsError(
-            f"strike {params.strike} is not below the support top {hi_support}; "
-            "the execution right is worthless"
-        )
+    check_execution_right(d, params)
 
     if params.alpha == 0.0 and params.p == 0.0:
-        b = hi_support - params.strike
+        b = d.support.hi - params.strike
         return _finish(d, params, b, expected_utility(d, params, b), SolutionStatus.BOUNDARY_FULL_EROSION)
 
     eu0 = expected_utility(d, params, 0.0)

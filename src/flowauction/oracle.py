@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import Uniform
-from .equilibrium import AuctionParams, solve_equilibrium
-from .errors import InvalidParamsError
+from .equilibrium import AuctionParams, check_alpha, solve_equilibrium
 
 __all__ = [
     "uniform_closed_form_bid",
@@ -32,14 +31,9 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float):
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidParamsError(f"alpha must lie in [0, 1], got {alpha}")
-
-
 def uniform_closed_form_bid(alpha: float) -> float:
     """Corrected equilibrium bid, ``1 / (2*(1 + sqrt(alpha))^2)``."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     s = 1.0 + math.sqrt(alpha)
     return 1.0 / (2.0 * s * s)
 
@@ -52,7 +46,7 @@ def published_closed_form_bid(alpha: float) -> float:
     ``1 / (2*(1 + sqrt(1 - (1-alpha)^2)))`` so that the alpha -> 1 limit
     (exactly 1/4) comes out without loss of precision.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     u = 1.0 - alpha
     return 1.0 / (2.0 * (1.0 + math.sqrt(1.0 - u * u)))
 
@@ -69,8 +63,7 @@ def uniform_metrics(alpha: float) -> UniformMetrics:
     With ``c = (1 - alpha) * b*``: p_exec = 1/2 - c and the spread is
     1/4 + c/2 (undefined at alpha = 0 where nothing ever executes).
     """
-    _check_alpha(alpha)
-    b = uniform_closed_form_bid(alpha)
+    b = uniform_closed_form_bid(alpha)  # checks alpha
     c = (1.0 - alpha) * b
     p_exec = 0.5 - c
     spread = None if p_exec <= 0.0 else 0.25 + 0.5 * c

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._bisect import find_crossing
 from .distributions import Distribution
-from .equilibrium import AuctionParams, upper_bid_bracket
+from .equilibrium import AuctionParams, check_execution_right, upper_bid_bracket
 from .errors import InvalidParamsError
 
 __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_bid"]
@@ -75,23 +75,29 @@ class SimResult:
     n_exec: int
 
 
-def _validate(d: Distribution, params: AuctionParams):
-    if params.strike >= d.support.hi and params.p == 0.0:
-        raise InvalidParamsError(
-            f"strike {params.strike} is not below the support top {d.support.hi}; "
-            "the execution right is worthless"
-        )
+def _trials(d: Distribution, params: AuctionParams, seed_seq: np.random.SeedSequence, m: int):
+    """Draw ``m`` seeded trials (a branch uniform, then a price S); return ``S`` and ``settle``.
 
-
-def _run_chunk(d, params, bid, seed_seq, m):
+    ``settle(bid)`` gives each trial's execution indicator and gain ``S - K - (1-alpha)*bid``
+    (0 where it does not execute); it keeps only S and the branch masks, not the uniforms.
+    """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     u = rng.random(m)
     s = d.sample(rng, size=m)
     forced_exec = u < params.p
     voluntary = u >= params.p + params.q
-    gain_if_exec = s - params.strike - (1.0 - params.alpha) * bid
-    executed = forced_exec | (voluntary & (gain_if_exec > 0.0))
-    gain = np.where(executed, gain_if_exec, 0.0)
+
+    def settle(bid: float):
+        gain_if_exec = s - params.strike - (1.0 - params.alpha) * bid
+        executed = forced_exec | (voluntary & (gain_if_exec > 0.0))
+        return executed, np.where(executed, gain_if_exec, 0.0)
+
+    return s, settle
+
+
+def _run_chunk(d, params, bid, seed_seq, m):
+    s, settle = _trials(d, params, seed_seq, m)
+    executed, gain = settle(bid)
     spread = (s - params.strike)[executed]
     return (
         float(gain.sum()),
@@ -126,7 +132,7 @@ def simulate_auction(
     ``workers`` > 1 evaluates chunks in a thread pool; results are identical
     to the serial run.
     """
-    _validate(d, params)
+    check_execution_right(d, params)
     n = cfg.n_trials
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
@@ -199,19 +205,12 @@ def calibrate_zero_profit_bid(
             "utility never crosses below zero"
         )
     _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
-    _validate(d, params)
+    check_execution_right(d, params)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    u = rng.random(n_per_eval)
-    s = d.sample(rng, size=n_per_eval)
-    forced_exec = u < params.p
-    voluntary = u >= params.p + params.q
+    _, settle = _trials(d, params, np.random.SeedSequence(seed), n_per_eval)
 
     def empirical_eu(bid: float) -> float:
-        gain_if_exec = s - params.strike - (1.0 - params.alpha) * bid
-        executed = forced_exec | (voluntary & (gain_if_exec > 0.0))
-        gain = np.where(executed, gain_if_exec, 0.0)
-        return float(gain.mean()) - params.alpha * bid
+        return float(settle(bid)[1].mean()) - params.alpha * bid
 
     if empirical_eu(0.0) <= 0.0:
         return 0.0
