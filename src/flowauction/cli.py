@@ -20,8 +20,9 @@ re-serializable byte-for-byte).  Every option is declared once in
 ``OPTIONS``, which yields the subcommand flags, the keys accepted in a
 ``--config`` file of ``key = value`` lines, and their merge: a flag wins over
 the config file, which wins over the default.  Exit codes: 0 success,
-2 configuration error, 3 internal numeric failure (no root bracket, or a
-NaN or infinite value in the result, which is never printed).
+2 usage or configuration error, 3 numeric failure (no root bracket, a
+residual above ``--tol``, or a NaN or infinite value in the result, which
+is never printed).  Every failure is one line on stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .equilibrium import (
     revenue,
     solve_equilibrium,
 )
-from .errors import BracketError, InvalidParamsError
+from .errors import BracketError, ConvergenceError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
 
@@ -164,8 +165,15 @@ OPTIONS = (
 _BY_KEY = {opt.key: opt for opt in OPTIONS if opt.key is not None}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise, so ``main`` reports them in one line."""
+
+    def error(self, message):
+        raise InvalidParamsError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowauction",
         description="Equilibrium bids, execution probability, revenue and effective "
         "spread for order flow auctions with mixed upfront/contingent fees.",
@@ -324,9 +332,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
     try:
-        cfg = _settings(ns)
+        cfg = _settings(_build_parser().parse_args(argv))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result exits 3 below
             text = COMMANDS[cfg.command][1](cfg)
         if cfg.output:
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, FloatingPointError) as exc:
+    except (BracketError, ConvergenceError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

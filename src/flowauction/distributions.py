@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from ._bisect import find_crossing
-from .errors import InvalidParamsError
+from .errors import ConvergenceError, InvalidParamsError
 
 __all__ = [
     "SupportInterval",
@@ -36,43 +36,62 @@ __all__ = [
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_depth: int = 60,
-) -> float:
+_MAX_EVALS = 1_000_000  # integrand evaluations allowed in one adaptive_simpson call
+
+
+def check_tol(tol: float) -> None:
+    """Raise :class:`InvalidParamsError` unless the tolerance ``tol`` is positive and finite."""
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise InvalidParamsError(f"tol must be positive, got {tol}")
+
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
     """Integrate ``f`` over ``[a, b]`` by adaptive Simpson subdivision.
 
     Subintervals are split until the local Richardson error estimate drops
     below its share of ``tol``; the estimate is then folded back in, so the
     returned value is the extrapolated (higher-order) one.  Suited to smooth
-    integrands on compact intervals.
+    integrands on compact intervals.  A NaN integrand value gives a NaN result.
+    Subintervals narrower than 2**-60 of ``[a, b]`` are not split further;
+    a bounded ``f`` adds less than rounding there.
+
+    Raises:
+        InvalidParamsError: ``tol`` is not positive and finite.
+        ConvergenceError: ``tol`` is not met within 10**6 evaluations of ``f``.
     """
+    check_tol(tol)
     if a == b:
         return 0.0
     if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
+        return -adaptive_simpson(f, b, a, tol)
+    # the floor keeps the recursion within 60 levels (a jump at 0 would take it
+    # 1,074 deep); the evaluation budget bounds the total work
+    floor = (b - a) * 2.0**-60
+    evals = 3
 
-    def recurse(x0, x2, x4, f0, f2, f4, whole, tol, depth):
+    def recurse(x0, x2, x4, f0, f2, f4, whole, share):
+        nonlocal evals
+        if evals >= _MAX_EVALS:
+            raise ConvergenceError(f"adaptive Simpson did not reach tol {tol} in {evals} evaluations")
         x1 = 0.5 * (x0 + x2)
         x3 = 0.5 * (x2 + x4)
         f1 = f(x1)
         f3 = f(x3)
+        evals += 2
         left = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
         right = (x4 - x2) / 6.0 * (f2 + 4.0 * f3 + f4)
         err = (left + right - whole) / 15.0
-        if depth >= max_depth or abs(err) <= tol:
+        # NaN also stops: a NaN sample stays an end of every subinterval holding it
+        if not abs(err) > share or x4 - x0 <= floor:
             return left + right + err
-        return recurse(x0, x1, x2, f0, f1, f2, left, 0.5 * tol, depth + 1) + recurse(
-            x2, x3, x4, f2, f3, f4, right, 0.5 * tol, depth + 1
+        return recurse(x0, x1, x2, f0, f1, f2, left, 0.5 * share) + recurse(
+            x2, x3, x4, f2, f3, f4, right, 0.5 * share
         )
 
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, mid, b, fa, fm, fb, whole, tol, 0)
+    return recurse(a, mid, b, fa, fm, fb, whole, tol)
 
 
 # ---------------------------------------------------------------------------

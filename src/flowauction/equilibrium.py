@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._bisect import find_crossing
-from .distributions import Distribution
-from .errors import InvalidParamsError
+from .distributions import Distribution, check_tol
+from .errors import ConvergenceError, InvalidParamsError
 
 __all__ = [
     "AuctionParams",
@@ -194,14 +194,17 @@ def solve_equilibrium(
         d: reference-price law.
         params: auction parameters; ``strike`` must lie below the support's
             upper end unless ``p > 0``.
-        tol: bound on the utility residual at the returned bid.
+        tol: bound on the utility residual at an interior root.
 
     Raises:
-        InvalidParamsError: strike at or above the support top with p = 0.
+        InvalidParamsError: strike at or above the support top with p = 0,
+            or ``tol`` not positive and finite.
         BracketError: no sign change after the doubling budget (bug signal).
+        ConvergenceError: the residual at the bisected root exceeds ``tol``
+            (bisection stops at adjacent floats, so a tiny ``tol`` can be
+            out of reach).
     """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise InvalidParamsError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     check_execution_right(d, params)
 
     if params.alpha == 0.0 and params.p == 0.0:
@@ -215,4 +218,6 @@ def solve_equilibrium(
     b_hi = upper_bid_bracket(d, params)
     b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, b_hi)
     residual = expected_utility(d, params, b_star)
+    if abs(residual) > tol:
+        raise ConvergenceError(f"residual {residual:.3g} at bid {b_star!r} exceeds tol {tol!r}")
     return _finish(d, params, b_star, residual, SolutionStatus.INTERIOR_ROOT)

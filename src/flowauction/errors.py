@@ -15,4 +15,5 @@ class BracketError(AuctionError, RuntimeError):
 
 
 class ConvergenceError(AuctionError, ArithmeticError):
-    """An iterative scheme failed to converge; kept as public API, nothing here raises it now."""
+    """A tolerance was not met: the solver's residual exceeds ``tol`` at the
+    bisected root, or adaptive Simpson ran out of its evaluation budget."""

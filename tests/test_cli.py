@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowauction
 from flowauction.cli import main
@@ -272,6 +272,12 @@ class TestExitContract:
         assert out == ""
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
+    def test_unreachable_tol_exits_3(self, capsys):
+        code, out, err = run(capsys, "sweep", "--dist", "beta:2,5", "--tol", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_simulate_non_finite_exits_3_without_warnings(self):
         env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
         proc = subprocess.run(
@@ -314,6 +320,11 @@ def reject_constant(name):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=cli_argv())
+@example(argv=["solve", "--alpha", "abc"])  # usage errors: argparse's own messages, one line
+@example(argv=["solve", "--alpha", "0.5", "--format", "xml"])
+@example(argv=["solve", "--alpha", "0.5", "--n", "10"])
+@example(argv=[])
+@example(argv=["frobnicate"])
 def test_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

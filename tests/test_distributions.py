@@ -7,6 +7,7 @@ from scipy import special
 
 from flowauction import (
     Beta,
+    ConvergenceError,
     DistributionSpec,
     InvalidParamsError,
     QuadratureDistribution,
@@ -128,7 +129,9 @@ class TestBeta:
     def test_arcsine_cdf_closed_form(self, x):
         # Beta(1/2, 1/2) is the arcsine law: I_x = (2/pi) asin(sqrt(x)) = acos(1 - 2x) / pi,
         # the acos form because its argument stays exact near x = 1
-        assert Beta(0.5, 0.5).cdf(x) == pytest.approx(math.acos(1 - 2 * x) / math.pi, abs=1e-15)
+        exact = math.acos(1 - 2 * x) / math.pi
+        assert Beta(0.5, 0.5).cdf(x) == pytest.approx(exact, abs=1e-15)
+        assert regularized_incomplete_beta(0.5, 0.5, x) == pytest.approx(exact, abs=1e-15)
 
     def test_extreme_shape_normalizer(self):
         # the density at 1 of Beta(a, 1) is 1/B(a, 1) = a; lgamma(1e308) overflowed
@@ -241,6 +244,17 @@ def test_quadrature_law_accepts_unnormalized_density():
 def test_quadrature_law_rejects_zero_mass():
     with pytest.raises(InvalidParamsError):
         QuadratureDistribution(lambda x: 0.0, SupportInterval(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "tol, error",
+    [(math.nan, InvalidParamsError), (0.0, InvalidParamsError), (-1.0, InvalidParamsError),
+     (1e-20, ConvergenceError)],
+)
+def test_quadrature_law_rejects_unreachable_tol(tol, error):
+    # tol halves at every split, so an unreachable tol used to expand the whole binary tree
+    with pytest.raises(error):
+        QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0), tol=tol)
 
 
 # ---------------------------------------------------------------------------

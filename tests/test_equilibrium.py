@@ -6,6 +6,7 @@ import pytest
 from flowauction import (
     AuctionParams,
     Beta,
+    ConvergenceError,
     InvalidParamsError,
     SolutionStatus,
     Uniform,
@@ -154,6 +155,11 @@ class TestSolveEquilibrium:
     def test_bad_tol_rejected(self):
         with pytest.raises(InvalidParamsError):
             solve_equilibrium(U01, AuctionParams(strike=0.5, alpha=0.5), tol=0.0)
+
+    def test_unreachable_tol_raises(self):
+        # bisection ends at adjacent floats, where the residual here is 4.2e-17
+        with pytest.raises(ConvergenceError, match="exceeds tol"):
+            solve_equilibrium(Beta(2.0, 5.0), AuctionParams(strike=0.5, alpha=0.1), tol=1e-300)
 
     def test_revenue_identity_at_solution(self):
         # revenue = p_exec * spread is a consequence of zero profit, so it is
