@@ -21,7 +21,7 @@ re-serializable byte-for-byte).  Every option is declared once in
 ``--config`` file of ``key = value`` lines, and their merge: a flag wins over
 the config file, which wins over the default.  Exit codes: 0 success,
 2 usage or configuration error, 3 numeric failure (no root bracket, a
-residual above ``--tol``, or a NaN or infinite value in the result, which
+residual above ``--tol`` times the price scale, or a NaN or infinite value in the result, which
 is never printed).  Every failure is one line on stderr.
 """
 

@@ -83,7 +83,7 @@ class EquilibriumSolution:
     ``effective_spread`` is None when the execution probability is zero (the
     conditional expectation is over a null event).  ``residual`` is the
     expected utility at ``b_star``; for interior roots it is bounded by the
-    solver tolerance.
+    solver tolerance times the price scale (see :func:`solve_equilibrium`).
     """
 
     b_star: float
@@ -194,15 +194,19 @@ def solve_equilibrium(
         d: reference-price law.
         params: auction parameters; ``strike`` must lie below the support's
             upper end unless ``p > 0``.
-        tol: bound on the utility residual at an interior root.
+        tol: bound on the utility residual at an interior root, relative to
+            the price scale ``m * max(1, m / (hi - lo))`` with
+            ``m = max(|lo|, |hi|, |K|)``.  Rounding in the utility grows with
+            the prices and with how many support widths they sit from zero,
+            so an absolute bound would fail wide or far-off supports.
 
     Raises:
         InvalidParamsError: strike at or above the support top with p = 0,
             or ``tol`` not positive and finite.
         BracketError: no sign change after the doubling budget (bug signal).
         ConvergenceError: the residual at the bisected root exceeds ``tol``
-            (bisection stops at adjacent floats, so a tiny ``tol`` can be
-            out of reach).
+            times the price scale (bisection stops at adjacent floats, so a
+            tiny ``tol`` can be out of reach).
     """
     check_tol(tol)
     check_execution_right(d, params)
@@ -218,6 +222,10 @@ def solve_equilibrium(
     b_hi = upper_bid_bracket(d, params)
     b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, b_hi)
     residual = expected_utility(d, params, b_star)
-    if abs(residual) > tol:
-        raise ConvergenceError(f"residual {residual:.3g} at bid {b_star!r} exceeds tol {tol!r}")
+    m = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike))
+    scale = m * max(1.0, m / (d.support.hi - d.support.lo))
+    if abs(residual) > tol * scale:
+        raise ConvergenceError(
+            f"residual {residual:.3g} at bid {b_star!r} exceeds tol {tol!r} at price scale {scale:.3g}"
+        )
     return _finish(d, params, b_star, residual, SolutionStatus.INTERIOR_ROOT)

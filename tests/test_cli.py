@@ -278,6 +278,13 @@ class TestExitContract:
         assert out == ""
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
+    def test_default_tol_holds_on_wide_supports(self, capsys):
+        # residuals there reach 1.5e-10 and 4e-9, above an absolute 1e-12
+        for dist, strike in [("uniform:0,1e6", "0.5"), ("uniform:1e4,10001", "10000.5")]:
+            code, out, err = run(capsys, "sweep", "--dist", dist, "--strike", strike)
+            assert (code, err) == (0, "")
+            assert out.count("\n") == 102
+
     def test_simulate_non_finite_exits_3_without_warnings(self):
         env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
         proc = subprocess.run(

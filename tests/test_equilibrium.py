@@ -161,6 +161,19 @@ class TestSolveEquilibrium:
         with pytest.raises(ConvergenceError, match="exceeds tol"):
             solve_equilibrium(Beta(2.0, 5.0), AuctionParams(strike=0.5, alpha=0.1), tol=1e-300)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e4), (0.0, 1e6), (0.0, 1e12), (-1e6, 1e6),
+                                        (100.0, 101.0), (1e4, 1e4 + 1.0), (1e6, 1e6 + 1.0)])
+    def test_default_tol_holds_on_wide_and_far_supports(self, lo, hi):
+        # rounding in the utility grows with the prices (residuals up to 1.5e-4
+        # on [0, 1e12]) and with the support's offset from zero in widths
+        # (5.6e-6 on [1e6, 1e6 + 1]), which an absolute tol would reject
+        d = Uniform(lo, hi)
+        for strike in {0.5, 0.5 * (lo + hi)}:
+            for alpha in np.linspace(0.01, 1.0, 100):
+                for p, q in [(0.0, 0.0), (0.2, 0.1)]:
+                    sol = solve_equilibrium(d, AuctionParams(strike, alpha, p, q))
+                    assert sol.status in (SolutionStatus.INTERIOR_ROOT, SolutionStatus.BOUNDARY_ZERO_BID)
+
     def test_revenue_identity_at_solution(self):
         # revenue = p_exec * spread is a consequence of zero profit, so it is
         # asserted wherever the solved bid actually satisfies zero profit; at
