@@ -13,6 +13,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -219,7 +220,6 @@ class Beta(Distribution):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._ln_beta = float(special.betaln(self.a, self.b))
         self._support = SupportInterval(0.0, 1.0)
 
     def __repr__(self):
@@ -238,6 +238,11 @@ class Beta(Distribution):
             # 1 - x is exact here; betainc(0.5, 0.5, 1 - 2**-53) itself is 2.8e-9 low
             return 1.0 - float(special.betainc(self.b, self.a, 1.0 - x))
         return float(special.betainc(self.a, self.b, x))
+
+    @cached_property
+    def _ln_beta(self) -> float:
+        # only the density needs the normaliser; building a law stays cheap
+        return float(special.betaln(self.a, self.b))
 
     def pdf(self, x: float) -> float:
         if x < 0.0 or x > 1.0:
@@ -274,7 +279,8 @@ class QuadratureDistribution(Distribution):
     The density need not be normalized: the normalization constant is
     computed once by quadrature.  CDF and partial expectation are evaluated
     by adaptive Simpson integration (absolute tolerance ``tol``), sampling by
-    bisection of the CDF to adjacent floats.  Intended for experimentation,
+    inverting the CDF with the bracketed search of ``find_crossing`` to
+    adjacent floats.  Intended for experimentation,
     not for large simulation runs; all evaluations cost a quadrature.
     """
 
@@ -291,6 +297,9 @@ class QuadratureDistribution(Distribution):
         if not math.isfinite(self._norm) or self._norm <= 0.0:
             raise InvalidParamsError(f"density integrates to {self._norm}, expected a positive value")
         self._mean: float | None = None
+
+    def __repr__(self):
+        return f"QuadratureDistribution({self._raw_pdf!r}, {self._support!r}, tol={self._tol!r})"
 
     @property
     def support(self) -> SupportInterval:

@@ -20,7 +20,7 @@ concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from ._bisect import find_crossing
@@ -100,6 +100,34 @@ def option_value(d: Distribution, t: float) -> float:
     return d.partial_expectation(t) - t * (1.0 - d.cdf(t))
 
 
+def _threshold(params: AuctionParams, b: float) -> float:
+    return params.strike + (1.0 - params.alpha) * b
+
+
+# The three quantities below read the law only through F = cdf(t) and
+# P = partial_expectation(t) at the threshold t, so a solution evaluates the
+# law once for all of them.
+
+def _utility(d: Distribution, params: AuctionParams, b: float, t: float, F: float, P: float) -> float:
+    eu = (1.0 - params.p - params.q) * (P - t * (1.0 - F)) - params.alpha * b
+    if params.p > 0.0:
+        eu += params.p * (d.mean() - params.strike - (1.0 - params.alpha) * b)
+    return eu
+
+
+def _p_exec(params: AuctionParams, F: float) -> float:
+    return params.p + (1.0 - params.p - params.q) * (1.0 - F)
+
+
+def _spread(d: Distribution, params: AuctionParams, F: float, P: float, p_exec: float) -> float | None:
+    if p_exec <= 0.0:
+        return None
+    num = (1.0 - params.p - params.q) * (P - params.strike * (1.0 - F))
+    if params.p > 0.0:
+        num += params.p * (d.mean() - params.strike)
+    return num / p_exec
+
+
 def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     """Winner's expected utility at bid ``b``.
 
@@ -109,32 +137,20 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     execution contributes ``mean - K - (1 - alpha) * b`` irrespective of
     profitability.
     """
-    one_minus_alpha = 1.0 - params.alpha
-    t = params.strike + one_minus_alpha * b
-    eu = (1.0 - params.p - params.q) * option_value(d, t) - params.alpha * b
-    if params.p > 0.0:
-        eu += params.p * (d.mean() - params.strike - one_minus_alpha * b)
-    return eu
+    t = _threshold(params, b)
+    return _utility(d, params, b, t, d.cdf(t), d.partial_expectation(t))
 
 
 def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
     """P(execution) at bid ``b_star``: forced mass plus the voluntary tail."""
-    t = params.strike + (1.0 - params.alpha) * b_star
-    return params.p + (1.0 - params.p - params.q) * (1.0 - d.cdf(t))
+    return _p_exec(params, d.cdf(_threshold(params, b_star)))
 
 
 def effective_spread(d: Distribution, params: AuctionParams, b_star: float) -> float | None:
     """E[S - K | execution] at bid ``b_star``; None when P(execution) = 0."""
-    p_exec = execution_probability(d, params, b_star)
-    if p_exec <= 0.0:
-        return None
-    t = params.strike + (1.0 - params.alpha) * b_star
-    num = (1.0 - params.p - params.q) * (
-        d.partial_expectation(t) - params.strike * (1.0 - d.cdf(t))
-    )
-    if params.p > 0.0:
-        num += params.p * (d.mean() - params.strike)
-    return num / p_exec
+    t = _threshold(params, b_star)
+    F = d.cdf(t)
+    return _spread(d, params, F, d.partial_expectation(t), _p_exec(params, F))
 
 
 def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:
@@ -160,15 +176,17 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
 
 
-def _finish(d, params, b_star, residual, status) -> EquilibriumSolution:
-    p_exec = execution_probability(d, params, b_star)
+def _solution(d, params, b_star, status) -> EquilibriumSolution:
+    t = _threshold(params, b_star)
+    F, P = d.cdf(t), d.partial_expectation(t)
+    p_exec = _p_exec(params, F)
     return EquilibriumSolution(
         b_star=b_star,
-        threshold=params.strike + (1.0 - params.alpha) * b_star,
+        threshold=t,
         p_exec=p_exec,
-        effective_spread=effective_spread(d, params, b_star),
+        effective_spread=_spread(d, params, F, P, p_exec),
         revenue=revenue(params, b_star, p_exec),
-        residual=residual,
+        residual=_utility(d, params, b_star, t, F, P),
         status=status,
     )
 
@@ -178,11 +196,16 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Solve the zero-profit condition for the equilibrium bid.
 
-    Uses guaranteed-bracket bisection: expected utility is positive at b = 0
-    (whenever winning has value) and eventually negative in b, so a sign
-    change always exists.  The initial upper bracket ``(hi - K)/(1 - alpha)``
-    places the execution threshold at the top of the support; it is doubled
-    geometrically if needed.  Two boundary regimes bypass the root finder:
+    Expected utility is nonincreasing in b, positive at b = 0 (whenever
+    winning has value) and eventually negative, so a sign change always
+    exists; :func:`find_crossing` narrows that bracket with safeguarded
+    Chandrupatla steps (inverse quadratic interpolation or bisection) until
+    it is two adjacent floats, in about 10 evaluations of the utility.  The
+    initial upper bracket ``(hi - K)/(1 - alpha)`` places the execution
+    threshold at the top of the support; it is doubled geometrically if
+    needed.  The law is evaluated once more, at the root, for the residual,
+    execution probability, revenue and spread.  Two boundary regimes bypass
+    the root search:
 
     * ``alpha = 0`` and ``p = 0``: expected utility is nonnegative for every
       bid and reaches zero only at ``b = hi - K``, where competition has
@@ -204,28 +227,27 @@ def solve_equilibrium(
         InvalidParamsError: strike at or above the support top with p = 0,
             or ``tol`` not positive and finite.
         BracketError: no sign change after the doubling budget (bug signal).
-        ConvergenceError: the residual at the bisected root exceeds ``tol``
-            times the price scale (bisection stops at adjacent floats, so a
-            tiny ``tol`` can be out of reach).
+        ConvergenceError: the residual at the root found exceeds ``tol``
+            times the price scale (the search stops at adjacent floats, so a
+            tiny ``tol`` can be out of reach); the message names the law and
+            alpha.
     """
     check_tol(tol)
     check_execution_right(d, params)
 
     if params.alpha == 0.0 and params.p == 0.0:
-        b = d.support.hi - params.strike
-        return _finish(d, params, b, expected_utility(d, params, b), SolutionStatus.BOUNDARY_FULL_EROSION)
+        return _solution(d, params, d.support.hi - params.strike, SolutionStatus.BOUNDARY_FULL_EROSION)
 
-    eu0 = expected_utility(d, params, 0.0)
-    if eu0 <= 0.0:
-        return _finish(d, params, 0.0, eu0, SolutionStatus.BOUNDARY_ZERO_BID)
-
-    b_hi = upper_bid_bracket(d, params)
-    b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, b_hi)
-    residual = expected_utility(d, params, b_star)
+    b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, upper_bid_bracket(d, params))
+    sol = _solution(d, params, b_star, SolutionStatus.INTERIOR_ROOT)
+    if b_star == 0.0 and sol.residual <= 0.0:
+        # find_crossing stops at once where utility at b = 0 is already nonpositive
+        return replace(sol, status=SolutionStatus.BOUNDARY_ZERO_BID)
     m = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike))
     scale = m * max(1.0, m / (d.support.hi - d.support.lo))
-    if abs(residual) > tol * scale:
+    if abs(sol.residual) > tol * scale:
         raise ConvergenceError(
-            f"residual {residual:.3g} at bid {b_star!r} exceeds tol {tol!r} at price scale {scale:.3g}"
+            f"residual {sol.residual:.3g} at bid {b_star!r} for {d!r} at alpha {params.alpha!r} "
+            f"exceeds tol {tol!r} at price scale {scale:.3g}"
         )
-    return _finish(d, params, b_star, residual, SolutionStatus.INTERIOR_ROOT)
+    return sol

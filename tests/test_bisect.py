@@ -1,0 +1,128 @@
+"""Properties of the shared bracketed root finder ``find_crossing``."""
+
+import bisect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from flowauction._bisect import find_crossing
+from flowauction.errors import BracketError
+
+
+def plain_bisection_evals(f, lo, hi):
+    """Evaluations of ``f`` that plain bisection makes to narrow ``[lo, hi]`` to adjacent floats.
+
+    Its early exit on an exact zero is left out: that fires only when the
+    root is a dyadic point of the bracket (0.25 of [0, 1] after 2 steps),
+    which no interpolating step aims for, so it measures luck, not cost.
+    """
+    n = 1
+    while f(hi) > 0.0:
+        hi *= 2.0
+        n += 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return n
+        n += 1
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+@st.composite
+def nonincreasing_functions(draw):
+    """A nonincreasing ``f`` and a bracket ``[lo, hi]`` with ``f(lo) > 0``."""
+    lo = draw(st.sampled_from([0.0, -1.0, 1e4, -1e6, 1e9, 0.1]))
+    width = draw(st.sampled_from([1.0, 1e-6, 1e3, 0.3]))
+    hi = lo + width
+    position = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5, 0.25, 1.0]),  # at the ends, and where bisection lands exactly
+        st.floats(1.0, 1e6) if hi > 0.0 else st.just(1.0),  # past hi: the bracket must double
+    ))
+    root = lo + position * (hi - lo) if position <= 1.0 else hi * position
+    if root <= lo:  # f(lo) > 0 is the premise; put the root one float above lo
+        root = math.nextafter(lo, math.inf)
+    kind = draw(st.sampled_from(["linear", "cubic", "exp", "kinked", "tanh", "clipped", "flat_zero",
+                                 "step", "empirical"]))
+    scale = draw(st.sampled_from([1.0, 1e-8, 1e8]))
+    if kind == "linear":
+        f = lambda x: scale * (root - x)
+    elif kind == "cubic":
+        f = lambda x: scale * (root - x) ** 3
+    elif kind == "exp":
+        k = draw(st.sampled_from([0.1, 1.0, 30.0])) / max(abs(root), width)
+        f = lambda x: scale * math.expm1(-k * (x - root))
+    elif kind == "kinked":
+        slope = draw(st.sampled_from([1e-3, 0.5, 40.0]))
+        f = lambda x: scale * (root - x) * (1.0 if x < root else slope)
+    elif kind == "tanh":  # flat on both sides of a steep drop
+        k = draw(st.sampled_from([1.0, 1e3, 1e6])) / width
+        f = lambda x: scale * math.tanh(k * (root - x))
+    elif kind == "clipped":
+        k = draw(st.sampled_from([2.0, 1e4])) / width
+        f = lambda x: scale * min(max(k * (root - x), -1.0), 1.0)
+    elif kind == "flat_zero":  # exactly zero on [root, root + width / 4]
+        f = lambda x: scale * (max(root - x, 0.0) + min(root + 0.25 * width - x, 0.0))
+    elif kind == "step":  # a half minus a count of cuts: never zero, crossing at the lowest cut
+        offsets = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=20)))
+        cuts = [root] + [root + o * width for o in offsets]
+        f = lambda x: 0.5 - bisect.bisect_right(cuts, x)
+    else:  # the calibrator's empirical utility: a mean of kinked gains minus an upfront part
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        s = lo + width * rng.random(draw(st.sampled_from([3, 50, 1000])))
+        alpha = draw(st.sampled_from([0.05, 0.5, 1.0]))
+        f = lambda x: float(np.maximum(s - lo - (1.0 - alpha) * (x - lo), 0.0).mean()) \
+            - alpha * (x - lo)
+    assume(f(lo) > 0.0)  # the root may sit so close to lo that scaling rounds f(lo) to 0
+    assume(hi > 0.0 or f(hi) <= 0.0)  # a bracket whose top is not positive cannot double
+    return f, lo, hi
+
+
+def is_crossing(f, x):
+    """``x`` is an exact zero or an end of an adjacent-float bracket with f > 0 below, f <= 0 above."""
+    fx = f(x)
+    if fx == 0.0:
+        return True
+    if fx > 0.0:
+        return f(math.nextafter(x, math.inf)) <= 0.0
+    return f(math.nextafter(x, -math.inf)) > 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=nonincreasing_functions())
+def test_finds_the_crossing_within_three_bisections_per_halving(case):
+    f, lo, hi = case
+    g = counted(f)
+    x = find_crossing(g, lo, hi)
+    assert is_crossing(f, x)
+    # at most three steps per halving of the bracket, plus the evaluation of f(lo)
+    assert g.calls <= 3 * plain_bisection_evals(f, lo, hi) + 2
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: 1.0 + math.exp(-x), lambda x: x])
+def test_bracket_error_after_64_doublings(f):
+    g = counted(f)
+    with pytest.raises(BracketError, match="no sign change"):
+        find_crossing(g, 0.5, 1.0)
+    assert g.calls == 1 + 65  # f(lo), then f(hi) before each of the 64 doublings and after the last
+
+
+@pytest.mark.parametrize("f_lo", [0.0, -1.0])
+def test_nonpositive_at_lo_returns_lo_after_one_evaluation(f_lo):
+    g = counted(lambda x: f_lo - x)
+    assert find_crossing(g, 2.0, 3.0) == 2.0
+    assert g.calls == 1

@@ -277,6 +277,7 @@ class TestExitContract:
         assert code == 3
         assert out == ""
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "Beta(2.0, 5.0)" in err and "alpha" in err  # which of the 101 rows failed
 
     def test_default_tol_holds_on_wide_supports(self, capsys):
         # residuals there reach 1.5e-10 and 4e-9, above an absolute 1e-12

@@ -241,6 +241,12 @@ def test_quadrature_law_accepts_unnormalized_density():
     assert d.mean() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_quadrature_law_repr_names_its_arguments():
+    d = QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))
+    assert repr(d) == ("QuadratureDistribution(<bound method Beta.pdf of Beta(2.0, 5.0)>, "
+                       "SupportInterval(lo=0.0, hi=1.0), tol=1e-12)")
+
+
 def test_quadrature_law_rejects_zero_mass():
     with pytest.raises(InvalidParamsError):
         QuadratureDistribution(lambda x: 0.0, SupportInterval(0.0, 1.0))

@@ -8,7 +8,9 @@ from flowauction import (
     Beta,
     ConvergenceError,
     InvalidParamsError,
+    QuadratureDistribution,
     SolutionStatus,
+    SupportInterval,
     Uniform,
     effective_spread,
     execution_probability,
@@ -18,6 +20,8 @@ from flowauction import (
     solve_equilibrium,
     uniform_closed_form_bid,
 )
+from flowauction import equilibrium
+from flowauction.cli import main
 
 U01 = Uniform(0.0, 1.0)
 
@@ -157,8 +161,8 @@ class TestSolveEquilibrium:
             solve_equilibrium(U01, AuctionParams(strike=0.5, alpha=0.5), tol=0.0)
 
     def test_unreachable_tol_raises(self):
-        # bisection ends at adjacent floats, where the residual here is 4.2e-17
-        with pytest.raises(ConvergenceError, match="exceeds tol"):
+        # the search ends at adjacent floats, where the residual here is 4.2e-17
+        with pytest.raises(ConvergenceError, match=r"for Beta\(2\.0, 5\.0\) at alpha 0\.1 exceeds tol"):
             solve_equilibrium(Beta(2.0, 5.0), AuctionParams(strike=0.5, alpha=0.1), tol=1e-300)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1e4), (0.0, 1e6), (0.0, 1e12), (-1e6, 1e6),
@@ -189,6 +193,38 @@ class TestSolveEquilibrium:
                         assert sol.revenue == pytest.approx(
                             sol.p_exec * sol.effective_spread, abs=1e-9
                         )
+
+    @pytest.mark.parametrize("d", [U01, Beta(2.0, 5.0), Beta(0.5, 0.5), Uniform(-1.0, 2.0),
+                                   QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))])
+    def test_solution_fields_match_the_public_functions(self, d):
+        # the solution reads the law once at b*; each field must equal its own function exactly
+        for strike, alpha, p, q in [(0.3, 0.0, 0.0, 0.0), (0.3, 0.4, 0.0, 0.0), (0.3, 1.0, 0.0, 0.0),
+                                    (0.3, 0.4, 0.2, 0.1), (0.8, 0.5, 0.5, 0.2), (0.5, 0.5, 0.0, 1.0)]:
+            params = AuctionParams(strike, alpha, p, q)
+            sol = solve_equilibrium(d, params)
+            p_exec = execution_probability(d, params, sol.b_star)
+            assert sol.residual == expected_utility(d, params, sol.b_star)
+            assert sol.p_exec == p_exec
+            assert sol.effective_spread == effective_spread(d, params, sol.b_star)
+            assert sol.revenue == revenue(params, sol.b_star, p_exec)
+
+    def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
+        # wrapped the way bench/spans.py counts the solver's work; plain
+        # bisection to adjacent floats took about 58 per root
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        original = equilibrium.expected_utility
+        monkeypatch.setattr(equilibrium, "expected_utility", counted)
+        out = tmp_path / "figure2.csv"
+        assert main(["sweep", "--figure2", "--output", str(out)]) == 0
+        roots = out.read_text().count("interior_root")
+        assert roots == 400
+        assert calls / roots <= 15
 
     def test_closed_form_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
