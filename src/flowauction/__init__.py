@@ -10,7 +10,6 @@ from .distributions import (
     QuadratureDistribution,
     SupportInterval,
     Uniform,
-    adaptive_simpson,
     regularized_incomplete_beta,
 )
 from .equilibrium import (
@@ -55,7 +54,6 @@ __all__ = [
     "SupportInterval",
     "Uniform",
     "UniformMetrics",
-    "adaptive_simpson",
     "build_oracle_reports",
     "calibrate_zero_profit_bid",
     "effective_spread",

@@ -3,20 +3,25 @@
 Everything downstream (equilibrium solving, Monte Carlo validation) consumes
 the small surface defined here: CDF, PDF, mean, upper partial expectation
 ``∫_t^hi x f(x) dx``, and seeded sampling.  Uniform and Beta laws use closed
-forms; any other law can be wrapped as a :class:`QuadratureDistribution`,
-which falls back to adaptive Simpson integration of a user-supplied density.
+forms, Beta's through ``scipy.special``, which is imported on first use; any
+other law can be wrapped as a :class:`QuadratureDistribution`, which
+integrates a user-supplied density once, on adaptively split Gauss–Legendre
+panels.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
-from scipy import special
 
 from ._bisect import find_crossing
 from .errors import ConvergenceError, InvalidParamsError
@@ -28,7 +33,6 @@ __all__ = [
     "Beta",
     "QuadratureDistribution",
     "DistributionSpec",
-    "adaptive_simpson",
     "regularized_incomplete_beta",
 ]
 
@@ -37,62 +41,65 @@ __all__ = [
 # Quadrature
 # ---------------------------------------------------------------------------
 
-_MAX_EVALS = 1_000_000  # integrand evaluations allowed in one adaptive_simpson call
-
-
 def check_tol(tol: float) -> None:
     """Raise :class:`InvalidParamsError` unless the tolerance ``tol`` is positive and finite."""
     if tol <= 0.0 or not math.isfinite(tol):
         raise InvalidParamsError(f"tol must be positive, got {tol}")
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
-    """Integrate ``f`` over ``[a, b]`` by adaptive Simpson subdivision.
+@cache
+def _special():
+    """``scipy.special``, imported on first use: only ``Beta`` needs it."""
+    from scipy import special
 
-    Subintervals are split until the local Richardson error estimate drops
-    below its share of ``tol``; the estimate is then folded back in, so the
-    returned value is the extrapolated (higher-order) one.  Suited to smooth
-    integrands on compact intervals.  A NaN integrand value gives a NaN result.
-    Subintervals narrower than 2**-60 of ``[a, b]`` are not split further;
-    a bounded ``f`` adds less than rounding there.
+    return special
 
-    Raises:
-        InvalidParamsError: ``tol`` is not positive and finite.
-        ConvergenceError: ``tol`` is not met within 10**6 evaluations of ``f``.
+
+@cache
+def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``1 + node`` and weight of the 16-point Gauss–Legendre rule on [-1, 1].
+
+    Newton's method on the Legendre recurrence, from Tricomi's estimate of
+    each root; ``numpy.polynomial.legendre.leggauss`` agrees to 3e-16, but its
+    LAPACK call costs about 1 MB of resident memory.
     """
-    check_tol(tol)
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol)
-    # the floor keeps the recursion within 60 levels (a jump at 0 would take it
-    # 1,074 deep); the evaluation budget bounds the total work
-    floor = (b - a) * 2.0**-60
-    evals = 3
+    n, offsets, weights = 16, [], []
+    for i in range(n):
+        x = -math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(10):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = n * (x * p1 - p0) / (x * x - 1.0)
+            x -= p1 / slope
+        offsets.append(1.0 + x)
+        weights.append(2.0 / ((1.0 - x * x) * slope * slope))
+    return tuple(offsets), tuple(weights)
 
-    def recurse(x0, x2, x4, f0, f2, f4, whole, share):
-        nonlocal evals
-        if evals >= _MAX_EVALS:
-            raise ConvergenceError(f"adaptive Simpson did not reach tol {tol} in {evals} evaluations")
-        x1 = 0.5 * (x0 + x2)
-        x3 = 0.5 * (x2 + x4)
-        f1 = f(x1)
-        f3 = f(x3)
-        evals += 2
-        left = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-        right = (x4 - x2) / 6.0 * (f2 + 4.0 * f3 + f4)
-        err = (left + right - whole) / 15.0
-        # NaN also stops: a NaN sample stays an end of every subinterval holding it
-        if not abs(err) > share or x4 - x0 <= floor:
-            return left + right + err
-        return recurse(x0, x1, x2, f0, f1, f2, left, 0.5 * share) + recurse(
-            x2, x3, x4, f2, f3, f4, right, 0.5 * share
-        )
 
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, mid, b, fa, fm, fb, whole, tol)
+def _gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, list[float]]:
+    """The 16-point rule's ``∫ f`` and ``∫ x f`` over ``[a, b]``, and ``f`` at its
+    nodes, which never round outside ``[a, b]``."""
+    offsets, weights = _gauss_legendre()
+    half = 0.5 * (b - a)
+    mass = moment = 0.0
+    fs = []
+    for offset, weight in zip(offsets, weights):
+        x = a + half * offset
+        fs.append(f(x))
+        y = weight * fs[-1]
+        mass += y
+        moment += x * y
+    return half * mass, half * moment, fs
+
+
+_EPS = sys.float_info.epsilon
+# the gap between the rules on a panel and on its halves is the error of the
+# former; at an inverse-square-root endpoint singularity the latter's error is
+# 1/(sqrt(2) - 1) times the gap
+_HALVES = 1.0 / (math.sqrt(2.0) - 1.0)
+_MIN_WIDTH = 2.0**-44  # of the support's width; narrower panels are not split
+_MAX_PANELS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +243,13 @@ class Beta(Distribution):
             return 1.0
         if x > 0.5:
             # 1 - x is exact here; betainc(0.5, 0.5, 1 - 2**-53) itself is 2.8e-9 low
-            return 1.0 - float(special.betainc(self.b, self.a, 1.0 - x))
-        return float(special.betainc(self.a, self.b, x))
+            return 1.0 - float(_special().betainc(self.b, self.a, 1.0 - x))
+        return float(_special().betainc(self.a, self.b, x))
 
     @cached_property
     def _ln_beta(self) -> float:
         # only the density needs the normaliser; building a law stays cheap
-        return float(special.betaln(self.a, self.b))
+        return float(_special().betaln(self.a, self.b))
 
     def pdf(self, x: float) -> float:
         if x < 0.0 or x > 1.0:
@@ -267,21 +274,27 @@ class Beta(Distribution):
             return self.mean()
         if t >= 1.0:
             return 0.0
-        return self.mean() * (1.0 - float(special.betainc(self.a + 1.0, self.b, t)))
+        return self.mean() * (1.0 - float(_special().betainc(self.a + 1.0, self.b, t)))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.beta(self.a, self.b, size)
 
 
 class QuadratureDistribution(Distribution):
-    """Wraps an arbitrary density on a compact interval.
+    """Wraps an arbitrary density on a compact interval, which need not be normalized.
 
-    The density need not be normalized: the normalization constant is
-    computed once by quadrature.  CDF and partial expectation are evaluated
-    by adaptive Simpson integration (absolute tolerance ``tol``), sampling by
-    inverting the CDF with the bracketed search of ``find_crossing`` to
-    adjacent floats.  Intended for experimentation,
-    not for large simulation runs; all evaluations cost a quadrature.
+    The density is integrated once, as in QUADPACK's QAG: the panel with the
+    largest error estimate is split until the summed estimate is at most
+    ``tol`` times the mass.  With the cumulative mass and first moment kept at
+    the panel edges, ``cdf`` and ``partial_expectation`` take one 16-point
+    Gauss–Legendre rule.  No node is an end of a panel, so a density may be
+    infinite at an end of the support.  Sampling inverts the CDF.
+
+    Attributes ``panels`` and ``error_estimate`` (summed, over the mass)
+    describe the result.  Raises :class:`InvalidParamsError` unless ``tol``
+    and the mass are positive and finite, and :class:`ConvergenceError`, with
+    the estimate, when every panel is at its rounding floor or narrower than
+    2**-44 of the support, or 4,096 panels are spent, before ``tol`` is met.
     """
 
     def __init__(
@@ -290,13 +303,54 @@ class QuadratureDistribution(Distribution):
         support: SupportInterval,
         tol: float = 1e-12,
     ):
+        check_tol(tol)
         self._raw_pdf = pdf
         self._support = support
         self._tol = tol
-        self._norm = adaptive_simpson(pdf, support.lo, support.hi, tol)
+        lo, hi = support.lo, support.hi
+        scale = max(abs(lo), abs(hi))
+
+        def split(a, b, whole):
+            # (heap key, estimate, mass, a, mid, b, rules on the halves) of [a, b];
+            # the rounding floor counts the sums, and the nodes, each off by up
+            # to eps |x|, times the density's variation over them
+            mid = a + 0.5 * (b - a)
+            halves = left, right = _gauss(pdf, a, mid), _gauss(pdf, mid, b)
+            mass, moment = left[0] + right[0], left[1] + right[1]
+            gap = max(abs(mass - whole[0]), abs(moment - whole[1]) / scale)
+            variation = sum(abs(q - p) for p, q in pairwise(left[2] + right[2]))
+            floor = _EPS * (50.0 * max(abs(mass), abs(moment) / scale) + max(abs(a), abs(b)) * variation)
+            estimate = max(_HALVES * gap, floor)
+            refine = gap > floor and b - a >= (hi - lo) * _MIN_WIDTH  # False on NaN
+            return -estimate if refine else 0.0, estimate, mass, a, mid, b, halves  # key 0: final
+
+        heap, total, mass = [], 0.0, 0.0
+        new = [split(lo, hi, _gauss(pdf, lo, hi))]
+        while True:
+            for panel in new:
+                heapq.heappush(heap, panel)
+                total += panel[1]
+                mass += panel[2]
+            if not total > tol * abs(mass):  # so is a NaN mass, which is refused below
+                break
+            key, estimate, m, a, mid, b, (left, right) = heapq.heappop(heap)
+            if key == 0.0 or len(heap) >= _MAX_PANELS // 2:
+                raise ConvergenceError(f"quadrature error estimate {total / abs(mass):.3g} exceeds "
+                                       f"tol {tol} with {2 * len(heap) + 2} panels")
+            total -= estimate
+            mass -= m
+            new = [split(a, mid, left), split(mid, b, right)]
+
+        panels = sorted(heap, key=lambda panel: panel[3])
+        rules = [rule for panel in panels for rule in panel[6]]
+        self._edges = [x for panel in panels for x in panel[3:5]] + [hi]
+        self._below = [0.0, *accumulate(rule[0] for rule in rules)]  # mass left of each edge
+        self._above = [*accumulate((rule[1] for rule in reversed(rules)), initial=0.0)][::-1]
+        self._norm = self._below[-1]
         if not math.isfinite(self._norm) or self._norm <= 0.0:
             raise InvalidParamsError(f"density integrates to {self._norm}, expected a positive value")
-        self._mean: float | None = None
+        self.panels = len(rules)
+        self.error_estimate = math.fsum(panel[1] for panel in panels) / self._norm
 
     def __repr__(self):
         return f"QuadratureDistribution({self._raw_pdf!r}, {self._support!r}, tol={self._tol!r})"
@@ -311,8 +365,9 @@ class QuadratureDistribution(Distribution):
             return 0.0
         if x >= hi:
             return 1.0
-        mass = adaptive_simpson(self._raw_pdf, lo, x, self._tol) / self._norm
-        return min(max(mass, 0.0), 1.0)
+        i = bisect_right(self._edges, x) - 1
+        mass = self._below[i] + _gauss(self._raw_pdf, self._edges[i], x)[0]
+        return min(max(mass / self._norm, 0.0), 1.0)
 
     def pdf(self, x: float) -> float:
         lo, hi = self._support.lo, self._support.hi
@@ -321,14 +376,16 @@ class QuadratureDistribution(Distribution):
         return 0.0
 
     def mean(self) -> float:
-        if self._mean is None:
-            self._mean = self.partial_expectation(self._support.lo)
-        return self._mean
+        return self._above[0] / self._norm
 
     def partial_expectation(self, t: float) -> float:
         lo, hi = self._support.lo, self._support.hi
-        t = min(max(t, lo), hi)
-        return adaptive_simpson(lambda x: x * self._raw_pdf(x), t, hi, self._tol) / self._norm
+        if t <= lo:
+            return self.mean()
+        if t >= hi:
+            return 0.0
+        i = bisect_right(self._edges, t)
+        return (self._above[i] + _gauss(self._raw_pdf, t, self._edges[i])[1]) / self._norm
 
     def _invert_cdf(self, u: float) -> float:
         return find_crossing(lambda x: u - self.cdf(x), self._support.lo, self._support.hi)
@@ -369,10 +426,15 @@ class DistributionSpec:
         if not all(math.isfinite(p) for p in params):
             raise InvalidParamsError(f"distribution parameters must be finite: {text!r}")
         spec = cls(kind, params)
-        spec.build()  # validates parameter ranges eagerly
+        spec.build()  # validates parameter ranges eagerly; the law is kept for later calls
         return spec
 
     def build(self) -> Distribution:
+        """The law this spec names, built on the first call and shared by every later one."""
+        return self._law
+
+    @cached_property
+    def _law(self) -> Distribution:
         if self.kind == "uniform":
             lo, hi = self.params
             return Uniform(lo, hi)

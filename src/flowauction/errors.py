@@ -16,4 +16,4 @@ class BracketError(AuctionError, RuntimeError):
 
 class ConvergenceError(AuctionError, ArithmeticError):
     """A tolerance was not met: the solver's residual exceeds ``tol`` at the
-    root it found, or adaptive Simpson ran out of its evaluation budget."""
+    root it found, or a quadrature law's error estimate cannot reach it."""

@@ -298,6 +298,31 @@ class TestExitContract:
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
 
 
+SCIPY_FREE = [
+    ["solve", "--dist", "uniform:0,1", "--alpha", "0.5"],
+    ["compare-oracle"],
+    ["simulate", "--dist", "uniform:0,1", "--alpha", "0.5", "--n", "1000", "--seed", "1"],
+    ["sweep"],
+]
+
+
+def test_commands_without_a_beta_law_never_import_scipy():
+    # scipy.special is most of the import time, and only Beta calls it
+    script = (
+        "import contextlib, io, sys\n"
+        "from flowauction.cli import main\n"
+        f"for argv in {SCIPY_FREE!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "False\n"
+
+
 EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e160, -1e160, 1e308, -0.0, 5e-324])
 DIST_RANGES = {"uniform": ((-1.0, 0.5), (0.6, 5.0)), "beta": ((0.1, 5.0), (0.1, 5.0))}
 RANGES = {"strike": (-1.0, 0.5), "alpha": (0.0, 1.0), "p": (0.0, 0.5), "q": (0.0, 0.5),

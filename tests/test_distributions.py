@@ -1,11 +1,14 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 
 from flowauction import (
+    AuctionParams,
     Beta,
     ConvergenceError,
     DistributionSpec,
@@ -13,8 +16,8 @@ from flowauction import (
     QuadratureDistribution,
     SupportInterval,
     Uniform,
-    adaptive_simpson,
     regularized_incomplete_beta,
+    solve_equilibrium,
 )
 
 # I_{0.25}(2, 5) by direct binomial enumeration (integer shapes):
@@ -26,23 +29,20 @@ def rng_from(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
-class TestAdaptiveSimpson:
-    def test_polynomial(self):
-        assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-14)
 
-    def test_sine(self):
-        assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
+def gauss_legendre(f, a, b, panels=4):
+    """``∫_a^b f`` by a fixed composite 20-point Gauss–Legendre rule.
 
-    def test_reversed_limits_negate(self):
-        forward = adaptive_simpson(lambda x: x**3 + 1, 0.2, 1.7)
-        assert adaptive_simpson(lambda x: x**3 + 1, 1.7, 0.2) == -forward
-
-    def test_empty_interval(self):
-        assert adaptive_simpson(math.exp, 0.4, 0.4) == 0.0
+    The reference the closed forms are checked against: exact up to rounding
+    for polynomials of degree below 40, and independent of the adaptive panels
+    of :class:`QuadratureDistribution`.
+    """
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (1.0 + GL_NODES)
+    return float(np.sum(half * GL_WEIGHTS * np.vectorize(f)(nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ class TestRegularizedIncompleteBeta:
         # quadrature of the density is the independent route
         ln_b = math.lgamma(2) + math.lgamma(5) - math.lgamma(7)
         pdf = lambda t: 0.0 if t <= 0.0 else math.exp(math.log(t) + 4.0 * math.log1p(-t) - ln_b)
-        quad = adaptive_simpson(pdf, 0.0, 0.25, 1e-13)
+        quad = gauss_legendre(pdf, 0.0, 0.25)
         assert regularized_incomplete_beta(2.0, 5.0, 0.25) == pytest.approx(quad, abs=1e-10)
 
     def test_against_scipy(self):
@@ -112,7 +112,7 @@ class TestUniform:
     def test_partial_expectation_matches_quadrature(self):
         d = Uniform(-1.0, 3.0)
         for t in [-1.0, -0.25, 0.8, 2.9]:
-            quad = adaptive_simpson(lambda x: x * d.pdf(x), t, 3.0, 1e-13)
+            quad = gauss_legendre(lambda x: x * d.pdf(x), t, 3.0)
             assert d.partial_expectation(t) == pytest.approx(quad, abs=1e-11)
 
 
@@ -152,7 +152,7 @@ class TestBeta:
     def test_partial_expectation_matches_quadrature(self):
         d = Beta(2.0, 5.0)
         for t in [0.1, 0.3, 0.5, 0.9]:
-            quad = adaptive_simpson(lambda x: x * d.pdf(x), t, 1.0, 1e-13)
+            quad = gauss_legendre(lambda x: x * d.pdf(x), t, 1.0)
             assert d.partial_expectation(t) == pytest.approx(quad, abs=1e-11)
 
     def test_pdf_edges(self):
@@ -258,9 +258,90 @@ def test_quadrature_law_rejects_zero_mass():
      (1e-20, ConvergenceError)],
 )
 def test_quadrature_law_rejects_unreachable_tol(tol, error):
-    # tol halves at every split, so an unreachable tol used to expand the whole binary tree
+    # a polynomial's gaps are rounding noise, which the estimate's floor keeps above 1e-20
+    start = time.perf_counter()
     with pytest.raises(error):
         QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0), tol=tol)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_quadrature_law_reports_its_panels():
+    # a degree-5 polynomial: one split, and an estimate at the rounding floor
+    d = QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))
+    assert d.panels == 2
+    assert 0.0 < d.error_estimate <= 1e-12
+
+
+def test_quadrature_law_on_a_wide_support():
+    # the tolerance is relative to the mass and the price scale, not absolute
+    width = 1e6
+    base = Beta(2.0, 5.0)
+    d = QuadratureDistribution(lambda x: base.pdf(x / width) / width, SupportInterval(0.0, width))
+    for alpha in (0.25, 0.75):
+        got = solve_equilibrium(d, AuctionParams(0.5 * width, alpha)).b_star
+        want = solve_equilibrium(base, AuctionParams(0.5, alpha)).b_star
+        assert got / width == pytest.approx(want, rel=1e-12)
+
+
+def test_quadrature_law_with_an_endpoint_singularity():
+    # Beta(1/2, 1/2) is infinite at both ends; next to 1 the float spacing
+    # limits any rule to about 1e-9, so the default tol is out of reach
+    arcsine = Beta(0.5, 0.5)
+    with pytest.raises(ConvergenceError, match=r"estimate \S+ exceeds tol 1e-12"):
+        QuadratureDistribution(arcsine.pdf, arcsine.support)
+    d = QuadratureDistribution(arcsine.pdf, arcsine.support, tol=1e-8)
+    assert d.error_estimate <= 1e-8
+    ends = np.geomspace(1e-16, 1e-2, 141)
+    for x in np.concatenate([np.linspace(0.0, 1.0, 1001), ends, 1.0 - ends]):
+        assert d.cdf(x) == pytest.approx(math.acos(1.0 - 2.0 * x) / math.pi, abs=1e-8)
+
+
+EPS = sys.float_info.epsilon
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.one_of(st.none(), st.tuples(st.floats(1.0, 20.0), st.floats(1.0, 20.0))),
+    lo=st.floats(-1e6, 1e9),
+    log_width=st.floats(-6.0, 6.0),
+    u=st.floats(0.0, 0.99),
+    alpha=st.floats(0.0, 1.0),
+)
+@example(shapes=(2.0, 5.0), lo=0.0, log_width=0.0, u=0.5, alpha=0.5)
+@example(shapes=(20.0, 20.0), lo=-1e6, log_width=6.0, u=0.5, alpha=0.25)
+@example(shapes=(2.0, 5.0), lo=1e9, log_width=-6.0, u=0.5, alpha=0.5)
+@example(shapes=None, lo=1e9, log_width=-6.0, u=0.3, alpha=0.5)
+def test_quadrature_law_matches_closed_forms_on_any_support(shapes, lo, log_width, u, alpha):
+    # a law on [0, 1] moved onto [lo, lo + w]: S = lo + w U
+    tol = 1e-12
+    base = Uniform(0.0, 1.0) if shapes is None else Beta(*shapes)
+    hi = lo + 10.0**log_width
+    w = hi - lo  # the width the rounded support really has
+    scale = max(abs(lo), abs(hi))
+    try:
+        d = QuadratureDistribution(lambda x: base.pdf((x - lo) / w) / w, SupportInterval(lo, hi), tol)
+    except ConvergenceError:
+        # only where the float spacing at the support, eps |x|, is not small
+        # against its width: the nodes themselves are rounded by that much
+        assert EPS * scale / w > 1e-14
+        return
+    assert d.error_estimate <= tol
+    for x in lo + w * np.linspace(0.0, 1.0, 21):
+        v = (x - lo) / w
+        F = base.cdf(v)
+        assert abs(d.cdf(x) - F) <= 10 * tol
+        P = lo * (1.0 - F) + w * base.partial_expectation(v)
+        assert abs(d.partial_expectation(x) - P) <= 10 * tol * scale
+    assert abs(d.mean() - (lo + w * base.mean())) <= 10 * tol * scale
+    # zero profit scales with the law: b* = w b*(base, strike (K - lo) / w);
+    # the error in b* is weighed by the utility's slope there, which vanishes
+    # as alpha -> 0 and the threshold reaches the top of the support
+    strike = lo + u * w
+    assume(strike < hi)  # on a support a few floats wide, u < 1 can round to the top
+    got = solve_equilibrium(d, AuctionParams(strike, alpha)).b_star
+    want = w * solve_equilibrium(base, AuctionParams((strike - lo) / w, alpha)).b_star
+    slope = alpha + (1.0 - alpha) * (1.0 - base.cdf((strike - lo) / w + (1.0 - alpha) * want / w))
+    assert abs(got - want) * slope <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +413,12 @@ class TestDistributionSpec:
         spec = DistributionSpec.parse("beta:2,5")
         assert spec.kind == "beta" and spec.params == (2.0, 5.0)
         assert isinstance(spec.build(), Beta)
+
+    def test_parse_builds_the_law_once(self):
+        # parse validates by building; later builds share that law
+        spec = DistributionSpec.parse("beta:2,5")
+        assert spec.build() is spec.build()
+        assert spec == DistributionSpec("beta", (2.0, 5.0))
 
     def test_round_trip_text(self):
         for text in ["uniform:0,1", "beta:2,5", "beta:0.5,0.5", "uniform:-1.5,2.25"]:
