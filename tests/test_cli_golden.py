@@ -34,6 +34,8 @@ CASES = [
     *both_formats("simulate-beta", "simulate", "--dist", "beta:2,5", "--alpha", "0.5",
                   "--n", "100000", "--seed", "7"),
     *both_formats("simulate-no-exec", "simulate", "--alpha", "0.5", "--bid", "1.2", "--n", "50000"),
+    *both_formats("simulate-bid", "simulate", "--alpha", "0.5", "--bid", "0.1", "--n", "50000",
+                  "--seed", "3"),
     *both_formats("compare-oracle", "compare-oracle", "--alpha-grid", "0,1,11"),
     ("sweep-config.json", ("sweep", "--config", str(GOLDEN / "sweep.cfg"), "--strike", "0.4")),
 ]
