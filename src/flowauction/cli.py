@@ -32,22 +32,13 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .equilibrium import (
-    AuctionParams,
-    check_alpha,
-    effective_spread,
-    execution_probability,
-    expected_utility,
-    revenue,
-    solve_equilibrium,
-)
+from .equilibrium import AuctionParams, check_alpha, solution_at, solve_equilibrium
 from .errors import BracketError, ConvergenceError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
@@ -263,7 +254,7 @@ def _solution_records(cfg, alphas) -> list[dict]:
         d = spec.build()
         for alpha in alphas:
             sol = solve_equilibrium(d, AuctionParams(cfg.strike, alpha, cfg.p, cfg.q), cfg.tol)
-            record = {"alpha": alpha, **asdict(sol)}
+            record = {"alpha": alpha, **vars(sol)}
             records.append({"dist": str(spec), **record} if labeled else record)
     return records
 
@@ -287,29 +278,27 @@ def _z_score(empirical: float | None, analytic: float | None, se: float) -> floa
 def cmd_simulate(cfg) -> str:
     d = cfg.dists[0].build()
     params = AuctionParams(strike=cfg.strike, alpha=cfg.alpha, p=cfg.p, q=cfg.q)
-    bid = cfg.bid if cfg.bid is not None else solve_equilibrium(d, params, cfg.tol).b_star
-    res = simulate_auction(d, params, SimConfig(n_trials=cfg.n, seed=cfg.seed, bid=bid))
-
-    analytic_utility = expected_utility(d, params, bid)
-    analytic_p_exec = execution_probability(d, params, bid)
-    analytic_revenue = revenue(params, bid, analytic_p_exec)
-    analytic_spread = effective_spread(d, params, bid)
+    if cfg.bid is None:
+        sol = solve_equilibrium(d, params, cfg.tol)
+    else:
+        sol = solution_at(d, params, cfg.bid, None)
+    res = simulate_auction(d, params, SimConfig(n_trials=cfg.n, seed=cfg.seed, bid=sol.b_star))
 
     record = {
         "alpha": cfg.alpha,
-        "bid": bid,
+        "bid": sol.b_star,
         "n_trials": cfg.n,
         "seed": cfg.seed,
         "n_exec": res.n_exec,  # placed before the other SimResult fields, which keep their order
-        **asdict(res),
-        "analytic_utility": analytic_utility,
-        "analytic_p_exec": analytic_p_exec,
-        "analytic_revenue": analytic_revenue,
-        "analytic_spread": analytic_spread,
-        "z_utility": _z_score(res.mean_utility, analytic_utility, res.se_utility),
-        "z_exec": _z_score(res.exec_rate, analytic_p_exec, res.se_exec),
-        "z_revenue": _z_score(res.mean_revenue, analytic_revenue, res.se_revenue),
-        "z_spread": _z_score(res.mean_spread_given_exec, analytic_spread, res.se_spread),
+        **vars(res),
+        "analytic_utility": sol.residual,
+        "analytic_p_exec": sol.p_exec,
+        "analytic_revenue": sol.revenue,
+        "analytic_spread": sol.effective_spread,
+        "z_utility": _z_score(res.mean_utility, sol.residual, res.se_utility),
+        "z_exec": _z_score(res.exec_rate, sol.p_exec, res.se_exec),
+        "z_revenue": _z_score(res.mean_revenue, sol.revenue, res.se_revenue),
+        "z_spread": _z_score(res.mean_spread_given_exec, sol.effective_spread, res.se_spread),
     }
     return render([record], cfg.format, one=True)
 
@@ -320,7 +309,7 @@ def cmd_compare_oracle(cfg) -> str:
         "max_abs_corrected_minus_numeric": max(abs(r.corrected_minus_numeric) for r in reports),
         "max_abs_published_minus_numeric": max(abs(r.published_minus_numeric) for r in reports),
     }
-    return render([asdict(r) for r in reports], cfg.format, summary=summary)
+    return render([vars(r) for r in reports], cfg.format, summary=summary)
 
 
 COMMANDS = {

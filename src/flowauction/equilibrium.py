@@ -92,7 +92,7 @@ class EquilibriumSolution:
     effective_spread: float | None
     revenue: float
     residual: float
-    status: SolutionStatus
+    status: SolutionStatus | None
 
 
 def option_value(d: Distribution, t: float) -> float:
@@ -104,28 +104,14 @@ def _threshold(params: AuctionParams, b: float) -> float:
     return params.strike + (1.0 - params.alpha) * b
 
 
-# The three quantities below read the law only through F = cdf(t) and
-# P = partial_expectation(t) at the threshold t, so a solution evaluates the
-# law once for all of them.
+# Every quantity at a bid reads the law only through F = cdf(t) and
+# P = partial_expectation(t) at the threshold t; solution_at reads them once.
 
 def _utility(d: Distribution, params: AuctionParams, b: float, t: float, F: float, P: float) -> float:
     eu = (1.0 - params.p - params.q) * (P - t * (1.0 - F)) - params.alpha * b
     if params.p > 0.0:
         eu += params.p * (d.mean() - params.strike - (1.0 - params.alpha) * b)
     return eu
-
-
-def _p_exec(params: AuctionParams, F: float) -> float:
-    return params.p + (1.0 - params.p - params.q) * (1.0 - F)
-
-
-def _spread(d: Distribution, params: AuctionParams, F: float, P: float, p_exec: float) -> float | None:
-    if p_exec <= 0.0:
-        return None
-    num = (1.0 - params.p - params.q) * (P - params.strike * (1.0 - F))
-    if params.p > 0.0:
-        num += params.p * (d.mean() - params.strike)
-    return num / p_exec
 
 
 def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
@@ -143,14 +129,12 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
 
 def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
     """P(execution) at bid ``b_star``: forced mass plus the voluntary tail."""
-    return _p_exec(params, d.cdf(_threshold(params, b_star)))
+    return solution_at(d, params, b_star, None).p_exec
 
 
 def effective_spread(d: Distribution, params: AuctionParams, b_star: float) -> float | None:
     """E[S - K | execution] at bid ``b_star``; None when P(execution) = 0."""
-    t = _threshold(params, b_star)
-    F = d.cdf(t)
-    return _spread(d, params, F, d.partial_expectation(t), _p_exec(params, F))
+    return solution_at(d, params, b_star, None).effective_spread
 
 
 def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:
@@ -176,17 +160,30 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
 
 
-def _solution(d, params, b_star, status) -> EquilibriumSolution:
-    t = _threshold(params, b_star)
+def solution_at(
+    d: Distribution, params: AuctionParams, b: float, status: SolutionStatus | None
+) -> EquilibriumSolution:
+    """The record of bid ``b``: threshold, p_exec, spread, revenue and utility.
+
+    The law is read once, at the threshold, for all of them; ``residual`` is
+    the winner's expected utility at ``b`` and equals :func:`expected_utility`
+    exactly.  ``status`` says how ``b`` was found: None for a bid that was
+    given rather than solved.
+    """
+    t = _threshold(params, b)
     F, P = d.cdf(t), d.partial_expectation(t)
-    p_exec = _p_exec(params, F)
+    decides = 1.0 - params.p - params.q
+    p_exec = params.p + decides * (1.0 - F)
+    num = decides * (P - params.strike * (1.0 - F))  # E[(S - K) 1{execution}]
+    if params.p > 0.0:
+        num += params.p * (d.mean() - params.strike)
     return EquilibriumSolution(
-        b_star=b_star,
+        b_star=b,
         threshold=t,
         p_exec=p_exec,
-        effective_spread=_spread(d, params, F, P, p_exec),
-        revenue=revenue(params, b_star, p_exec),
-        residual=_utility(d, params, b_star, t, F, P),
+        effective_spread=None if p_exec <= 0.0 else num / p_exec,
+        revenue=revenue(params, b, p_exec),
+        residual=_utility(d, params, b, t, F, P),
         status=status,
     )
 
@@ -236,10 +233,10 @@ def solve_equilibrium(
     check_execution_right(d, params)
 
     if params.alpha == 0.0 and params.p == 0.0:
-        return _solution(d, params, d.support.hi - params.strike, SolutionStatus.BOUNDARY_FULL_EROSION)
+        return solution_at(d, params, d.support.hi - params.strike, SolutionStatus.BOUNDARY_FULL_EROSION)
 
     b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, upper_bid_bracket(d, params))
-    sol = _solution(d, params, b_star, SolutionStatus.INTERIOR_ROOT)
+    sol = solution_at(d, params, b_star, SolutionStatus.INTERIOR_ROOT)
     if b_star == 0.0 and sol.residual <= 0.0:
         # find_crossing stops at once where utility at b = 0 is already nonpositive
         return replace(sol, status=SolutionStatus.BOUNDARY_ZERO_BID)

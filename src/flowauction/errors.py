@@ -1,5 +1,7 @@
 """Semantic exceptions shared across the package."""
 
+__all__ = ["AuctionError", "InvalidParamsError", "BracketError", "ConvergenceError"]
+
 
 class AuctionError(Exception):
     """Base class for all flowauction errors."""

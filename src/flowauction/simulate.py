@@ -16,7 +16,6 @@ evaluate the chunks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +138,8 @@ def simulate_auction(
     sizes = [_CHUNK] * (n_chunks - 1) + [n - _CHUNK * (n_chunks - 1)]
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported only here: it pulls in logging
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(
                 pool.map(lambda sm: _run_chunk(d, params, cfg.bid, sm[0], sm[1]), zip(seeds, sizes))
@@ -163,7 +164,7 @@ def simulate_auction(
     # revenue per trial is alpha*bid + executed*(1-alpha)*bid, an affine map
     # of the execution indicator, so its moments follow from the exec ones
     mean_revenue = cfg.bid * (params.alpha + (1.0 - params.alpha) * exec_rate)
-    se_revenue = (1.0 - params.alpha) * cfg.bid * se_exec
+    se_revenue = abs((1.0 - params.alpha) * cfg.bid) * se_exec
 
     if n_exec > 0:
         mean_spread = sum_spread / n_exec

@@ -307,20 +307,21 @@ SCIPY_FREE = [
 
 
 def test_commands_without_a_beta_law_never_import_scipy():
-    # scipy.special is most of the import time, and only Beta calls it
+    # scipy.special is most of the import time, and only Beta calls it; the thread
+    # pool (concurrent.futures, which loads logging) only a simulation with workers > 1
     script = (
         "import contextlib, io, sys\n"
         "from flowauction.cli import main\n"
         f"for argv in {SCIPY_FREE!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('scipy' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e160, -1e160, 1e308, -0.0, 5e-324])

@@ -22,6 +22,7 @@ from flowauction import (
 )
 from flowauction import equilibrium
 from flowauction.cli import main
+from flowauction.equilibrium import solution_at
 
 U01 = Uniform(0.0, 1.0)
 
@@ -197,16 +198,19 @@ class TestSolveEquilibrium:
     @pytest.mark.parametrize("d", [U01, Beta(2.0, 5.0), Beta(0.5, 0.5), Uniform(-1.0, 2.0),
                                    QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))])
     def test_solution_fields_match_the_public_functions(self, d):
-        # the solution reads the law once at b*; each field must equal its own function exactly
+        # a record reads the law once at its bid; each field must equal its own function
+        # exactly, at b* and at bids off the equilibrium
         for strike, alpha, p, q in [(0.3, 0.0, 0.0, 0.0), (0.3, 0.4, 0.0, 0.0), (0.3, 1.0, 0.0, 0.0),
                                     (0.3, 0.4, 0.2, 0.1), (0.8, 0.5, 0.5, 0.2), (0.5, 0.5, 0.0, 1.0)]:
             params = AuctionParams(strike, alpha, p, q)
-            sol = solve_equilibrium(d, params)
-            p_exec = execution_probability(d, params, sol.b_star)
-            assert sol.residual == expected_utility(d, params, sol.b_star)
-            assert sol.p_exec == p_exec
-            assert sol.effective_spread == effective_spread(d, params, sol.b_star)
-            assert sol.revenue == revenue(params, sol.b_star, p_exec)
+            b_star = solve_equilibrium(d, params).b_star
+            for sol in (solve_equilibrium(d, params), solution_at(d, params, 0.5 * b_star, None),
+                        solution_at(d, params, b_star + 0.05, None)):
+                p_exec = execution_probability(d, params, sol.b_star)
+                assert sol.residual == expected_utility(d, params, sol.b_star)
+                assert sol.p_exec == p_exec
+                assert sol.effective_spread == effective_spread(d, params, sol.b_star)
+                assert sol.revenue == revenue(params, sol.b_star, p_exec)
 
     def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
         # wrapped the way bench/spans.py counts the solver's work; plain

@@ -96,10 +96,12 @@ class TestSimulateAuction:
         gap = res.mean_revenue - res.exec_rate * res.mean_spread_given_exec
         assert abs(gap) <= 4.0 * combined_se
 
-    def test_off_equilibrium_bid_against_analytic(self):
+    @pytest.mark.parametrize("bid", [0.1, -0.2])
+    def test_off_equilibrium_bid_against_analytic(self, bid):
         params = AuctionParams(strike=0.5, alpha=0.5)
-        bid = 0.1
         res = simulate_auction(U01, params, SimConfig(n_trials=200_000, seed=11, bid=bid))
+        # a negative bid pays the bidder, but a standard error is never negative
+        assert min(res.se_utility, res.se_exec, res.se_revenue, res.se_spread) >= 0.0
         assert abs(z(res.mean_utility, expected_utility(U01, params, bid), res.se_utility)) <= 4.0
         p_exec = execution_probability(U01, params, bid)
         assert abs(z(res.exec_rate, p_exec, res.se_exec)) <= 4.0
