@@ -84,6 +84,7 @@ class EquilibriumSolution:
     conditional expectation is over a null event).  ``residual`` is the
     expected utility at ``b_star``; for interior roots it is bounded by the
     solver tolerance times the price scale (see :func:`solve_equilibrium`).
+    ``status`` is None for the record of a given bid rather than a solved one.
     """
 
     b_star: float
