@@ -203,9 +203,9 @@ class TestSolveEquilibrium:
         for strike, alpha, p, q in [(0.3, 0.0, 0.0, 0.0), (0.3, 0.4, 0.0, 0.0), (0.3, 1.0, 0.0, 0.0),
                                     (0.3, 0.4, 0.2, 0.1), (0.8, 0.5, 0.5, 0.2), (0.5, 0.5, 0.0, 1.0)]:
             params = AuctionParams(strike, alpha, p, q)
-            b_star = solve_equilibrium(d, params).b_star
-            for sol in (solve_equilibrium(d, params), solution_at(d, params, 0.5 * b_star, None),
-                        solution_at(d, params, b_star + 0.05, None)):
+            solved = solve_equilibrium(d, params)
+            for sol in (solved, solution_at(d, params, 0.5 * solved.b_star, None),
+                        solution_at(d, params, solved.b_star + 0.05, None)):
                 p_exec = execution_probability(d, params, sol.b_star)
                 assert sol.residual == expected_utility(d, params, sol.b_star)
                 assert sol.p_exec == p_exec
