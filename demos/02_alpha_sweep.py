@@ -11,7 +11,7 @@ while the effective spread falls.  The same table is available from the CLI:
 
 import numpy as np
 
-from flowauction import AuctionParams, Beta, Uniform, solve_equilibrium
+from flowauction import AuctionParams, Beta, Uniform, solve_equilibria
 
 LAWS = {
     "uniform[0,1]": Uniform(0.0, 1.0),
@@ -26,10 +26,9 @@ grid = np.linspace(0.0, 1.0, 11)
 for name, d in LAWS.items():
     print(f"--- {name}, K = {K} ---")
     print(f"{'alpha':>6} {'b*':>10} {'P(exec)':>9} {'spread':>9} {'revenue':>10}")
-    sols = []
-    for alpha in grid:
-        sol = solve_equilibrium(d, AuctionParams(strike=K, alpha=float(alpha)))
-        sols.append(sol)
+    # one call solves the whole grid: its searches run in lockstep
+    sols = solve_equilibria(d, [AuctionParams(strike=K, alpha=float(alpha)) for alpha in grid])
+    for alpha, sol in zip(grid, sols):
         spread = f"{sol.effective_spread:9.4f}" if sol.effective_spread is not None else "      n/a"
         print(f"{alpha:6.2f} {sol.b_star:10.6f} {sol.p_exec:9.4f} {spread} {sol.revenue:10.6f}")
 

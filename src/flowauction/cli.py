@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistributionSpec
-from .equilibrium import AuctionParams, check_alpha, solution_at, solve_equilibrium
+from .equilibrium import AuctionParams, check_alpha, solution_at, solve_equilibria, solve_equilibrium
 from .errors import BracketError, ConvergenceError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
@@ -251,9 +251,8 @@ def _solution_records(cfg, alphas) -> list[dict]:
     labeled = cfg.figure2 or len(cfg.dists) > 1
     records = []
     for spec in cfg.dists:
-        d = spec.build()
-        for alpha in alphas:
-            sol = solve_equilibrium(d, AuctionParams(cfg.strike, alpha, cfg.p, cfg.q), cfg.tol)
+        grid = [AuctionParams(cfg.strike, alpha, cfg.p, cfg.q) for alpha in alphas]
+        for alpha, sol in zip(alphas, solve_equilibria(spec.build(), grid, cfg.tol)):
             record = {"alpha": alpha, **vars(sol)}
             records.append({"dist": str(spec), **record} if labeled else record)
     return records

@@ -23,7 +23,7 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from ._bisect import find_crossing
+from ._bisect import find_crossings
 from .errors import ConvergenceError, InvalidParamsError
 
 __all__ = [
@@ -122,6 +122,19 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 # Distributions
 # ---------------------------------------------------------------------------
 
+def _elementwise(x, fn: Callable[[np.ndarray], np.ndarray]):
+    """``fn``, which maps a 1-d float64 array elementwise, applied to ``x`` of any
+    shape; a float in gives a float out."""
+    x = np.asarray(x, dtype=float)
+    y = fn(x.reshape(-1))
+    return float(y[0]) if x.ndim == 0 else y.reshape(x.shape)
+
+
+def _each(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` applied to each element of a 1-d array, on Python floats."""
+    return lambda x: np.array([fn(v) for v in x.tolist()], dtype=float)
+
+
 @dataclass(frozen=True)
 class SupportInterval:
     """Closed, bounded interval carrying the mass of a reference-price law."""
@@ -149,8 +162,9 @@ class Distribution(ABC):
         ...
 
     @abstractmethod
-    def cdf(self, x: float) -> float:
-        """P(S <= x); clamps to 0 below the support and 1 above it."""
+    def cdf(self, x):
+        """P(S <= x), elementwise over a float or an ndarray; clamps to 0 below
+        the support and 1 above it.  A float in gives a float out."""
 
     @abstractmethod
     def pdf(self, x: float) -> float:
@@ -161,8 +175,9 @@ class Distribution(ABC):
         ...
 
     @abstractmethod
-    def partial_expectation(self, t: float) -> float:
-        """Upper partial expectation ``∫_max(t, lo)^hi x f(x) dx``.
+    def partial_expectation(self, t):
+        """Upper partial expectation ``∫_max(t, lo)^hi x f(x) dx``, elementwise
+        like :meth:`cdf`.
 
         Equals ``mean()`` at or below the support's lower end and 0 at or
         above its upper end; nonincreasing in ``t``.
@@ -186,13 +201,9 @@ class Uniform(Distribution):
     def support(self) -> SupportInterval:
         return self._support
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x):
         lo, hi = self._support.lo, self._support.hi
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        return (x - lo) / (hi - lo)
+        return _elementwise(x, lambda x: np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, (x - lo) / (hi - lo))))
 
     def pdf(self, x: float) -> float:
         lo, hi = self._support.lo, self._support.hi
@@ -203,10 +214,14 @@ class Uniform(Distribution):
     def mean(self) -> float:
         return 0.5 * (self._support.lo + self._support.hi)
 
-    def partial_expectation(self, t: float) -> float:
+    def partial_expectation(self, t):
         lo, hi = self._support.lo, self._support.hi
-        t = min(max(t, lo), hi)
-        return (hi * hi - t * t) / (2.0 * (hi - lo))
+
+        def pe(t):
+            t = np.minimum(np.maximum(t, lo), hi)
+            return (hi * hi - t * t) / (2.0 * (hi - lo))
+
+        return _elementwise(t, pe)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         lo, hi = self._support.lo, self._support.hi
@@ -227,6 +242,7 @@ class Beta(Distribution):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
+        self._shapes = np.array([[self.a], [self.b]])
         self._support = SupportInterval(0.0, 1.0)
 
     def __repr__(self):
@@ -236,15 +252,17 @@ class Beta(Distribution):
     def support(self) -> SupportInterval:
         return self._support
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        if x > 0.5:
-            # 1 - x is exact here; betainc(0.5, 0.5, 1 - 2**-53) itself is 2.8e-9 low
-            return 1.0 - float(_special().betainc(self.b, self.a, 1.0 - x))
-        return float(_special().betainc(self.a, self.b, x))
+    def cdf(self, x):
+        def cdf(x):
+            # above 1/2 by reflection, I_x(a, b) = 1 - I_{1-x}(b, a), as 1 - x is
+            # exact there; betainc(0.5, 0.5, 1 - 2**-53) itself is 2.8e-9 low.
+            # The argument, clamped at 0, gives 0 below the support and 1 above
+            upper = x > 0.5
+            shapes = np.where(upper, self._shapes[::-1], self._shapes)
+            i = _special().betainc(shapes[0], shapes[1], np.maximum(np.minimum(x, 1.0 - x), 0.0))
+            return np.where(upper, 1.0 - i, i)
+
+        return _elementwise(x, cdf)
 
     @cached_property
     def _ln_beta(self) -> float:
@@ -269,12 +287,10 @@ class Beta(Distribution):
     def mean(self) -> float:
         return self.a / (self.a + self.b)
 
-    def partial_expectation(self, t: float) -> float:
-        if t <= 0.0:
-            return self.mean()
-        if t >= 1.0:
-            return 0.0
-        return self.mean() * (1.0 - float(_special().betainc(self.a + 1.0, self.b, t)))
+    def partial_expectation(self, t):
+        # I_t(a + 1, b) is 0 at t = 0 and 1 at t = 1, so clamping t clamps the result
+        return _elementwise(t, lambda t: self.mean() * (
+            1.0 - _special().betainc(self.a + 1.0, self.b, np.minimum(np.maximum(t, 0.0), 1.0))))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.beta(self.a, self.b, size)
@@ -359,15 +375,18 @@ class QuadratureDistribution(Distribution):
     def support(self) -> SupportInterval:
         return self._support
 
-    def cdf(self, x: float) -> float:
-        lo, hi = self._support.lo, self._support.hi
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        i = bisect_right(self._edges, x) - 1
-        mass = self._below[i] + _gauss(self._raw_pdf, self._edges[i], x)[0]
-        return min(max(mass / self._norm, 0.0), 1.0)
+    def cdf(self, x):
+        def cdf(x):
+            lo, hi = self._support.lo, self._support.hi
+            if x <= lo:
+                return 0.0
+            if x >= hi:
+                return 1.0
+            i = bisect_right(self._edges, x) - 1
+            mass = self._below[i] + _gauss(self._raw_pdf, self._edges[i], x)[0]
+            return min(max(mass / self._norm, 0.0), 1.0)
+
+        return _elementwise(x, _each(cdf))
 
     def pdf(self, x: float) -> float:
         lo, hi = self._support.lo, self._support.hi
@@ -378,22 +397,24 @@ class QuadratureDistribution(Distribution):
     def mean(self) -> float:
         return self._above[0] / self._norm
 
-    def partial_expectation(self, t: float) -> float:
-        lo, hi = self._support.lo, self._support.hi
-        if t <= lo:
-            return self.mean()
-        if t >= hi:
-            return 0.0
-        i = bisect_right(self._edges, t)
-        return (self._above[i] + _gauss(self._raw_pdf, t, self._edges[i])[1]) / self._norm
+    def partial_expectation(self, t):
+        def partial_expectation(t):
+            lo, hi = self._support.lo, self._support.hi
+            if t <= lo:
+                return self.mean()
+            if t >= hi:
+                return 0.0
+            i = bisect_right(self._edges, t)
+            return (self._above[i] + _gauss(self._raw_pdf, t, self._edges[i])[1]) / self._norm
 
-    def _invert_cdf(self, u: float) -> float:
-        return find_crossing(lambda x: u - self.cdf(x), self._support.lo, self._support.hi)
+        return _elementwise(t, _each(partial_expectation))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return self._invert_cdf(rng.random())
-        return np.array([self._invert_cdf(u) for u in rng.random(size)])
+        u = np.atleast_1d(rng.random(size))
+        lo, hi = self._support.lo, self._support.hi
+        # u < 1 = cdf(hi), so every search brackets its crossing at once
+        x = np.array(find_crossings(lambda i, x: u[i] - self.cdf(x), [lo] * u.size, [hi] * u.size))
+        return float(x[0]) if size is None else x
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,16 @@ concurrently without coordination.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
-from ._bisect import find_crossing
+import numpy as np
+
+from ._bisect import find_crossings
 from .distributions import Distribution, check_tol
-from .errors import ConvergenceError, InvalidParamsError
+from .errors import BracketError, ConvergenceError, InvalidParamsError
 
 __all__ = [
     "AuctionParams",
@@ -34,6 +38,7 @@ __all__ = [
     "option_value",
     "expected_utility",
     "solve_equilibrium",
+    "solve_equilibria",
     "execution_probability",
     "effective_spread",
     "revenue",
@@ -101,18 +106,44 @@ def option_value(d: Distribution, t: float) -> float:
     return d.partial_expectation(t) - t * (1.0 - d.cdf(t))
 
 
-def _threshold(params: AuctionParams, b: float) -> float:
-    return params.strike + (1.0 - params.alpha) * b
+class _Batch(NamedTuple):
+    """The fields of a sequence of :class:`AuctionParams`, one float64 array each.
+
+    Every formula below reads the auction through one, so it serves a single
+    auction and a whole grid alike.
+    """
+
+    strike: np.ndarray
+    alpha: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    contingent: np.ndarray  # 1 - alpha, the share of the bid paid on execution
+    decides: np.ndarray  # 1 - p - q, the chance that the winner decides
+    forced: bool  # whether any p is positive
+
+    @classmethod
+    def of(cls, params_seq: Sequence[AuctionParams]) -> "_Batch":
+        strike, alpha, p, q = np.array([(x.strike, x.alpha, x.p, x.q) for x in params_seq], dtype=float).T
+        return cls(strike, alpha, p, q, 1.0 - alpha, 1.0 - p - q, any(x.p > 0.0 for x in params_seq))
+
+    def at(self, i) -> "_Batch":
+        """The elements at indices ``i``."""
+        return _Batch(*(column[i] for column in self[:-1]), self.forced)
+
+
+def _threshold(batch: _Batch, b):
+    return batch.strike + batch.contingent * b
 
 
 # Every quantity at a bid reads the law only through F = cdf(t) and
-# P = partial_expectation(t) at the threshold t; solution_at reads them once.
+# P = partial_expectation(t) at the threshold t; _solutions_at reads them once.
 
-def _utility(d: Distribution, params: AuctionParams, b: float, t: float, F: float, P: float) -> float:
-    eu = (1.0 - params.p - params.q) * (P - t * (1.0 - F)) - params.alpha * b
-    if params.p > 0.0:
-        eu += params.p * (d.mean() - params.strike - (1.0 - params.alpha) * b)
-    return eu
+def _utility(d: Distribution, batch: _Batch, b, t, F, P):
+    eu = batch.decides * (P - t * (1.0 - F)) - batch.alpha * b
+    if not batch.forced:
+        return eu
+    forced = batch.p * (d.mean() - batch.strike - batch.contingent * b)
+    return np.where(batch.p > 0.0, eu + forced, eu)
 
 
 def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
@@ -124,8 +155,10 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     execution contributes ``mean - K - (1 - alpha) * b`` irrespective of
     profitability.
     """
-    t = _threshold(params, b)
-    return _utility(d, params, b, t, d.cdf(t), d.partial_expectation(t))
+    batch = _Batch.of([params])
+    with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
+        t = _threshold(batch, b)
+        return float(_utility(d, batch, b, t, d.cdf(t), d.partial_expectation(t))[0])
 
 
 def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
@@ -161,6 +194,28 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
 
 
+def _solutions_at(d: Distribution, batch: _Batch, b: np.ndarray,
+                  statuses: Sequence[SolutionStatus | None]) -> list[EquilibriumSolution]:
+    """The record of bid ``b[i]`` under ``batch``'s element ``i``, for every ``i``.
+
+    The law is read once, at all the thresholds, for every field.
+    """
+    with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
+        t = _threshold(batch, b)
+        F, P = d.cdf(t), d.partial_expectation(t)
+        p_exec = batch.p + batch.decides * (1.0 - F)
+        num = batch.decides * (P - batch.strike * (1.0 - F))  # E[(S - K) 1{execution}]
+        if batch.forced:
+            num = np.where(batch.p > 0.0, num + batch.p * (d.mean() - batch.strike), num)
+        spread = num / p_exec
+        columns = (b, t, p_exec, spread, revenue(batch, b, p_exec), _utility(d, batch, b, t, F, P))
+    return [
+        EquilibriumSolution(b, t, p_exec, None if p_exec <= 0.0 else spread, rev, residual, status)
+        for (b, t, p_exec, spread, rev, residual), status
+        in zip(zip(*(column.tolist() for column in columns)), statuses)
+    ]
+
+
 def solution_at(
     d: Distribution, params: AuctionParams, b: float, status: SolutionStatus | None
 ) -> EquilibriumSolution:
@@ -171,22 +226,74 @@ def solution_at(
     exactly.  ``status`` says how ``b`` was found: None for a bid that was
     given rather than solved.
     """
-    t = _threshold(params, b)
-    F, P = d.cdf(t), d.partial_expectation(t)
-    decides = 1.0 - params.p - params.q
-    p_exec = params.p + decides * (1.0 - F)
-    num = decides * (P - params.strike * (1.0 - F))  # E[(S - K) 1{execution}]
-    if params.p > 0.0:
-        num += params.p * (d.mean() - params.strike)
-    return EquilibriumSolution(
-        b_star=b,
-        threshold=t,
-        p_exec=p_exec,
-        effective_spread=None if p_exec <= 0.0 else num / p_exec,
-        revenue=revenue(params, b, p_exec),
-        residual=_utility(d, params, b, t, F, P),
-        status=status,
-    )
+    return _solutions_at(d, _Batch.of([params]), np.array([b], dtype=float), [status])[0]
+
+
+def solve_equilibria(
+    d: Distribution, params_seq: Sequence[AuctionParams], tol: float = 1e-12
+) -> list[EquilibriumSolution]:
+    """:func:`solve_equilibrium` for each element of ``params_seq``, in one lockstep search.
+
+    Each round of :func:`find_crossings` reads the law once, on the bids of
+    every search still running, and each element takes exactly the float
+    steps a search of its own would, so element ``i`` of the result equals
+    ``solve_equilibrium(d, params_seq[i], tol)``.  When elements fail, the
+    error raised is the first failing element's, as a loop over
+    ``params_seq`` would raise it.
+    """
+    params_seq = list(params_seq)
+    if not params_seq:
+        return []
+    check_tol(tol)
+    batch = _Batch.of(params_seq)
+    errors: list[Exception | None] = [None] * len(params_seq)
+    for i, params in enumerate(params_seq):
+        try:
+            check_execution_right(d, params)
+        except InvalidParamsError as exc:
+            errors[i] = exc
+
+    eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
+    statuses = [SolutionStatus.BOUNDARY_FULL_EROSION if e else SolutionStatus.INTERIOR_ROOT
+                for e in eroded.tolist()]
+    search = [i for i, status in enumerate(statuses)
+              if status is SolutionStatus.INTERIOR_ROOT and errors[i] is None]
+    searched = batch if len(search) == len(params_seq) else batch.at(search)
+
+    def utility(i: np.ndarray, bids: np.ndarray) -> np.ndarray:
+        at = searched if len(i) == len(search) else searched.at(i)
+        t = _threshold(at, bids)
+        return _utility(d, at, bids, t, d.cdf(t), d.partial_expectation(t))
+
+    with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
+        b = np.where(eroded, d.support.hi - batch.strike, 0.0)
+        uppers = [upper_bid_bracket(d, params_seq[i]) for i in search]
+        for i, root in zip(search, find_crossings(utility, [0.0] * len(search), uppers)):
+            if isinstance(root, BracketError):
+                errors[i] = root
+            else:
+                b[i] = root
+
+    sols = _solutions_at(d, batch, b, statuses)
+    for i in search:
+        sol, params = sols[i], params_seq[i]
+        if errors[i] is not None:
+            continue
+        if sol.b_star == 0.0 and sol.residual <= 0.0:
+            # the search stops at once where utility at b = 0 is already nonpositive
+            sols[i] = replace(sol, status=SolutionStatus.BOUNDARY_ZERO_BID)
+            continue
+        m = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike))
+        scale = m * max(1.0, m / (d.support.hi - d.support.lo))
+        if abs(sol.residual) > tol * scale:
+            errors[i] = ConvergenceError(
+                f"residual {sol.residual:.3g} at bid {sol.b_star!r} for {d!r} at alpha {params.alpha!r} "
+                f"exceeds tol {tol!r} at price scale {scale:.3g}"
+            )
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return sols
 
 
 def solve_equilibrium(
@@ -196,9 +303,10 @@ def solve_equilibrium(
 
     Expected utility is nonincreasing in b, positive at b = 0 (whenever
     winning has value) and eventually negative, so a sign change always
-    exists; :func:`find_crossing` narrows that bracket with safeguarded
-    Chandrupatla steps (inverse quadratic interpolation or bisection) until
-    it is two adjacent floats, in about 10 evaluations of the utility.  The
+    exists; the search of :mod:`flowauction._bisect` narrows that bracket
+    with safeguarded Chandrupatla steps (inverse quadratic interpolation or
+    bisection) until it is two adjacent floats, in about 10 evaluations of
+    the utility.  This is :func:`solve_equilibria` of one element.  The
     initial upper bracket ``(hi - K)/(1 - alpha)`` places the execution
     threshold at the top of the support; it is doubled geometrically if
     needed.  The law is evaluated once more, at the root, for the residual,
@@ -230,22 +338,4 @@ def solve_equilibrium(
             tiny ``tol`` can be out of reach); the message names the law and
             alpha.
     """
-    check_tol(tol)
-    check_execution_right(d, params)
-
-    if params.alpha == 0.0 and params.p == 0.0:
-        return solution_at(d, params, d.support.hi - params.strike, SolutionStatus.BOUNDARY_FULL_EROSION)
-
-    b_star = find_crossing(lambda b: expected_utility(d, params, b), 0.0, upper_bid_bracket(d, params))
-    sol = solution_at(d, params, b_star, SolutionStatus.INTERIOR_ROOT)
-    if b_star == 0.0 and sol.residual <= 0.0:
-        # find_crossing stops at once where utility at b = 0 is already nonpositive
-        return replace(sol, status=SolutionStatus.BOUNDARY_ZERO_BID)
-    m = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike))
-    scale = m * max(1.0, m / (d.support.hi - d.support.lo))
-    if abs(sol.residual) > tol * scale:
-        raise ConvergenceError(
-            f"residual {sol.residual:.3g} at bid {b_star!r} for {d!r} at alpha {params.alpha!r} "
-            f"exceeds tol {tol!r} at price scale {scale:.3g}"
-        )
-    return sol
+    return solve_equilibria(d, [params], tol)[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import Uniform
-from .equilibrium import AuctionParams, check_alpha, solve_equilibrium
+from .equilibrium import AuctionParams, check_alpha, solve_equilibria
 
 __all__ = [
     "uniform_closed_form_bid",
@@ -85,13 +85,13 @@ class OracleReport:
 
 def build_oracle_reports(alphas, tol: float = 1e-12) -> list[OracleReport]:
     """Tabulate both closed forms against the numeric solver on ``alphas``."""
-    d = Uniform(0.0, 1.0)
+    alphas = [float(alpha) for alpha in alphas]
+    grid = [AuctionParams(strike=0.5, alpha=alpha) for alpha in alphas]
     reports = []
-    for alpha in alphas:
-        alpha = float(alpha)
+    for alpha, sol in zip(alphas, solve_equilibria(Uniform(0.0, 1.0), grid, tol)):
         corrected = uniform_closed_form_bid(alpha)
         published = published_closed_form_bid(alpha)
-        numeric = solve_equilibrium(d, AuctionParams(strike=0.5, alpha=alpha), tol).b_star
+        numeric = sol.b_star
         reports.append(
             OracleReport(
                 alpha=alpha,

@@ -22,6 +22,7 @@ from flowauction import (
     published_closed_form_bid,
     regularized_incomplete_beta,
     simulate_auction,
+    solve_equilibria,
     solve_equilibrium,
     uniform_closed_form_bid,
 )
@@ -62,10 +63,9 @@ def test_criterion_01_corner_cases():
 
 def test_criterion_02_closed_form_agreement():
     with _Timer() as t:
-        worst = 0.0
-        for alpha in np.linspace(0.0, 1.0, 1001):
-            sol = solve_equilibrium(U01, AuctionParams(strike=0.5, alpha=float(alpha)))
-            worst = max(worst, abs(sol.b_star - uniform_closed_form_bid(float(alpha))))
+        alphas = [float(alpha) for alpha in np.linspace(0.0, 1.0, 1001)]
+        sols = solve_equilibria(U01, [AuctionParams(strike=0.5, alpha=alpha) for alpha in alphas])
+        worst = max(abs(sol.b_star - uniform_closed_form_bid(alpha)) for alpha, sol in zip(alphas, sols))
     assert worst <= 1e-9, f"max closed-form gap {worst:.3e}"
     _report(2, f"solver vs 1/(2(1+sqrt(a))^2) on 1001 alphas, max gap {worst:.2e}", t, budget=1.0)
 
@@ -92,7 +92,7 @@ def test_criterion_04_monotonicity():
     grid = np.linspace(0.0, 1.0, 101)
     with _Timer() as t:
         for d in [U01] + BETA_LAWS:
-            sols = [solve_equilibrium(d, AuctionParams(0.5, float(a))) for a in grid]
+            sols = solve_equilibria(d, [AuctionParams(0.5, float(a)) for a in grid])
             for prev, cur in zip(sols, sols[1:]):
                 assert cur.p_exec >= prev.p_exec - slack
                 assert cur.revenue >= prev.revenue - slack
@@ -109,8 +109,7 @@ def test_criterion_05_revenue_identity():
         checked = 0
         for d in [U01] + BETA_LAWS:
             for p, q in [(0.0, 0.0), (0.1, 0.1), (0.3, 0.0), (0.0, 0.5)]:
-                for alpha in grid:
-                    sol = solve_equilibrium(d, AuctionParams(0.5, float(alpha), p, q))
+                for sol in solve_equilibria(d, [AuctionParams(0.5, float(alpha), p, q) for alpha in grid]):
                     if sol.status == SolutionStatus.BOUNDARY_ZERO_BID:
                         # zero profit fails at the bid floor; the payment
                         # identity pins revenue to zero there instead

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowauction._bisect import find_crossing
+from flowauction._bisect import find_crossing, find_crossings
 from flowauction.errors import BracketError
 
 
@@ -126,3 +126,42 @@ def test_nonpositive_at_lo_returns_lo_after_one_evaluation(f_lo):
     g = counted(lambda x: f_lo - x)
     assert find_crossing(g, 2.0, 3.0) == 2.0
     assert g.calls == 1
+
+
+def lockstep(cases):
+    """``find_crossings`` over ``(f, lo, hi)`` cases, each ``f`` called on its own points."""
+    def f(indices, points):
+        return np.array([cases[i][0](x) for i, x in zip(indices.tolist(), points.tolist())])
+
+    return find_crossings(f, [lo for _, lo, _ in cases], [hi for _, _, hi in cases])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(nonincreasing_functions(), min_size=1, max_size=5), data=st.data())
+def test_lockstep_equals_each_search_alone(cases, data):
+    # a search that returns lo at once and one that never brackets its crossing
+    # stop in the first rounds, beside searches that run on
+    for case in [(lambda x: -1.0 - x, 2.0, 3.0), (lambda x: 1.0, 0.5, 1.0)]:
+        cases.insert(data.draw(st.integers(0, len(cases))), case)
+    for (f, lo, hi), got in zip(cases, lockstep(cases)):
+        try:
+            want = find_crossing(f, lo, hi)
+        except BracketError as exc:
+            assert isinstance(got, BracketError) and str(got) == str(exc)
+        else:
+            assert not isinstance(got, BracketError) and got.hex() == float(want).hex()
+
+
+def test_lockstep_calls_f_once_per_round_on_the_running_searches():
+    sizes = []
+
+    def f(indices, points):
+        sizes.append(len(indices))
+        assert indices.tolist() == sorted(indices.tolist()) and len(points) == len(indices)
+        return 0.3 + 0.1 * indices - points
+
+    roots = find_crossings(f, [0.0] * 4, [1.0] * 4)
+    assert roots == [find_crossing(lambda x, i=i: 0.3 + 0.1 * i - x, 0.0, 1.0) for i in range(4)]
+    assert sizes[0] == 4 and sizes == sorted(sizes, reverse=True)
+    rounds = len(sizes)
+    assert find_crossings(f, [], []) == [] and len(sizes) == rounds

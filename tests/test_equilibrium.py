@@ -17,12 +17,14 @@ from flowauction import (
     expected_utility,
     option_value,
     revenue,
+    solve_equilibria,
     solve_equilibrium,
     uniform_closed_form_bid,
 )
 from flowauction import equilibrium
+from flowauction._bisect import find_crossing
 from flowauction.cli import main
-from flowauction.equilibrium import solution_at
+from flowauction.equilibrium import solution_at, upper_bid_bracket
 
 U01 = Uniform(0.0, 1.0)
 
@@ -171,13 +173,16 @@ class TestSolveEquilibrium:
     def test_default_tol_holds_on_wide_and_far_supports(self, lo, hi):
         # rounding in the utility grows with the prices (residuals up to 1.5e-4
         # on [0, 1e12]) and with the support's offset from zero in widths
-        # (5.6e-6 on [1e6, 1e6 + 1]), which an absolute tol would reject
+        # (5.6e-6 on [1e6, 1e6 + 1]), which an absolute tol would reject; each
+        # grid, solved in one call, equals its alphas solved one at a time
         d = Uniform(lo, hi)
         for strike in {0.5, 0.5 * (lo + hi)}:
-            for alpha in np.linspace(0.01, 1.0, 100):
-                for p, q in [(0.0, 0.0), (0.2, 0.1)]:
-                    sol = solve_equilibrium(d, AuctionParams(strike, alpha, p, q))
-                    assert sol.status in (SolutionStatus.INTERIOR_ROOT, SolutionStatus.BOUNDARY_ZERO_BID)
+            for p, q in [(0.0, 0.0), (0.2, 0.1)]:
+                grid = [AuctionParams(strike, alpha, p, q) for alpha in np.linspace(0.01, 1.0, 100)]
+                sols = [solve_equilibrium(d, params) for params in grid]
+                assert all(sol.status in (SolutionStatus.INTERIOR_ROOT, SolutionStatus.BOUNDARY_ZERO_BID)
+                           for sol in sols)
+                assert [vars(sol) for sol in solve_equilibria(d, grid)] == [vars(sol) for sol in sols]
 
     def test_revenue_identity_at_solution(self):
         # revenue = p_exec * spread is a consequence of zero profit, so it is
@@ -212,28 +217,75 @@ class TestSolveEquilibrium:
                 assert sol.effective_spread == effective_spread(d, params, sol.b_star)
                 assert sol.revenue == revenue(params, sol.b_star, p_exec)
 
-    def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
-        # wrapped the way bench/spans.py counts the solver's work; plain
-        # bisection to adjacent floats took about 58 per root
-        calls = 0
+    def test_figure2_grid_takes_few_evaluations_and_rounds(self, monkeypatch, tmp_path):
+        # wrapped the way bench/spans.py wraps the laws; each law's grid is one
+        # lockstep search, whose rounds each read the law once on the running
+        # searches, and then one read of the records at the roots.  Plain
+        # bisection to adjacent floats took about 58 evaluations per root
+        sizes: dict[str, list[int]] = {}
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counted(law, t):
+            sizes.setdefault(repr(law), []).append(np.size(t))
+            return original(law, t)
 
-        original = equilibrium.expected_utility
-        monkeypatch.setattr(equilibrium, "expected_utility", counted)
+        original = Beta.cdf
+        monkeypatch.setattr(Beta, "cdf", counted)
         out = tmp_path / "figure2.csv"
         assert main(["sweep", "--figure2", "--output", str(out)]) == 0
         roots = out.read_text().count("interior_root")
-        assert roots == 400
-        assert calls / roots <= 15
+        assert roots == 400 and len(sizes) == 4
+        rounds = {law: calls[:-1] for law, calls in sizes.items()}
+        assert sum(sum(r) for r in rounds.values()) / roots <= 15
+        assert max(len(r) for r in rounds.values()) <= 20
 
     def test_closed_form_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
             sol = solve_equilibrium(U01, AuctionParams(strike=0.5, alpha=float(alpha)))
             assert abs(sol.b_star - uniform_closed_form_bid(float(alpha))) <= 1e-9
+
+
+class TestSolveEquilibria:
+    @pytest.mark.parametrize("d", [U01, Beta(2.0, 2.0), Beta(2.0, 5.0), Beta(5.0, 2.0), Beta(0.5, 0.5)])
+    def test_a_grid_equals_its_alphas_solved_alone(self, d):
+        # alpha = 0 erodes the bid, strike 0.8 with p = 0.5 forces a zero bid
+        for strike, p, q in [(0.5, 0.0, 0.0), (0.5, 0.1, 0.1), (0.8, 0.5, 0.2)]:
+            grid = [AuctionParams(strike, float(alpha), p, q) for alpha in np.linspace(0.0, 1.0, 101)]
+            sols = solve_equilibria(d, grid)
+            assert len(sols) == len(grid)
+            for params, sol in zip(grid, sols):
+                assert vars(sol) == vars(solve_equilibrium(d, params))
+                if sol.status == SolutionStatus.INTERIOR_ROOT and p == 0.0:
+                    # the scalar search on the scalar utility takes the same steps
+                    b = find_crossing(lambda b: expected_utility(d, params, b), 0.0, upper_bid_bracket(d, params))
+                    assert sol.b_star.hex() == b.hex()
+            if p == 0.0:
+                assert sols[0].status == SolutionStatus.BOUNDARY_FULL_EROSION
+            if strike == 0.8:
+                assert SolutionStatus.BOUNDARY_ZERO_BID in {sol.status for sol in sols}
+
+    def test_an_empty_grid_has_no_solutions(self):
+        assert solve_equilibria(U01, []) == []
+
+    # at tol 1e-300, Beta(2, 5) and K = 0.5, the residual gate fails at alpha 0.1
+    # and 0.2 but not at 0.5; a strike at the support top is refused before any
+    # search, and alpha = 0 erodes the bid without one
+    GATED, GATED_TOO = AuctionParams(0.5, 0.1), AuctionParams(0.5, 0.2)
+    REFUSED, SOLVED, ERODED = AuctionParams(1.0, 0.5), AuctionParams(0.5, 0.5), AuctionParams(0.5, 0.0)
+
+    @pytest.mark.parametrize("grid", [[SOLVED, GATED_TOO, REFUSED, GATED], [ERODED, REFUSED, GATED],
+                                      [GATED, GATED_TOO], [GATED_TOO, GATED], [SOLVED, ERODED]])
+    def test_the_first_failing_element_raises_what_it_raises_alone(self, grid):
+        d = Beta(2.0, 5.0)
+
+        def outcome(call):
+            try:
+                call()
+            except (ConvergenceError, InvalidParamsError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        alone = [outcome(lambda: solve_equilibrium(d, params, tol=1e-300)) for params in grid]
+        assert outcome(lambda: solve_equilibria(d, grid, tol=1e-300)) == next(filter(None, alone), None)
 
 
 class TestAuctionParams:
