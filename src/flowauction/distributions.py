@@ -147,6 +147,8 @@ class SupportInterval:
             raise InvalidParamsError(f"support must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise InvalidParamsError(f"support requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise InvalidParamsError(f"support width must be finite, got [{self.lo}, {self.hi}]")
 
 
 class Distribution(ABC):
@@ -218,8 +220,10 @@ class Uniform(Distribution):
         lo, hi = self._support.lo, self._support.hi
 
         def pe(t):
+            # P(S > t) times the mean of [t, hi]: no square to overflow, and no
+            # difference of squares to cancel on a support far from zero
             t = np.minimum(np.maximum(t, lo), hi)
-            return (hi * hi - t * t) / (2.0 * (hi - lo))
+            return (hi - t) / (hi - lo) * (0.5 * hi + 0.5 * t)
 
         return _elementwise(t, pe)
 

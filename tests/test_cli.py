@@ -263,14 +263,25 @@ class TestConfigAndOutput:
 
 
 class TestExitContract:
-    # hi * hi overflows in Uniform.partial_expectation, so the result holds NaN
-    HUGE = ("--dist", "uniform:0,1e160", "--alpha", "0.5", "--strike=0")
+    # the bid doubles past the largest float, so the result holds inf
+    HUGE = ("--dist", "uniform:0,1e308", "--alpha", "0.5", "--strike=0")
 
     def test_solve_non_finite_exits_3(self, capsys):
         code, out, err = run(capsys, "solve", *self.HUGE)
         assert code == 3
         assert out == ""
-        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert err == "numeric failure: b_star is inf\n"
+
+    def test_a_support_wider_than_the_largest_float_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--dist", "uniform:-1e308,1e308", "--alpha", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: support width must be finite, got [-1e+308, 1e+308]\n"
+
+    def test_a_huge_uniform_support_solves(self, capsys):
+        code, out, err = run(capsys, "solve", "--dist", "uniform:0,1e160", "--alpha", "0.5", "--strike=0",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["b_star"] == 5.358983848622455e159
 
     def test_unreachable_tol_exits_3(self, capsys):
         code, out, err = run(capsys, "sweep", "--dist", "beta:2,5", "--tol", "1e-300")
@@ -289,8 +300,9 @@ class TestExitContract:
     def test_simulate_non_finite_exits_3_without_warnings(self):
         env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-m", "flowauction", "simulate", *self.HUGE, "--n", "2000",
-             "--format", "json"],
+            # the bid is finite there; the squared gains of its trials overflow
+            [sys.executable, "-m", "flowauction", "simulate", "--dist", "uniform:0,1e307", "--alpha", "0.5",
+             "--strike=0", "--n", "2000", "--format", "json"],
             capture_output=True, text=True, env=env, timeout=120, check=False,
         )
         assert proc.returncode == 3

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import sys
 import time
 
@@ -92,6 +93,8 @@ def test_support_interval_validation():
         SupportInterval(1.0, 1.0)
     with pytest.raises(InvalidParamsError):
         SupportInterval(0.0, math.inf)
+    with pytest.raises(InvalidParamsError, match="width must be finite"):
+        SupportInterval(-1e308, 1e308)  # hi - lo overflows
 
 
 class TestUniform:
@@ -108,6 +111,15 @@ class TestUniform:
         assert d.partial_expectation(1.0) == 0.0
         assert d.partial_expectation(-3.0) == 0.5
         assert d.partial_expectation(7.0) == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e160), (0.0, 1e308), (1e9, 1e9 + 1e-3), (-5.0, -4.0)])
+    def test_partial_expectation_is_exact_on_huge_and_far_supports(self, lo, hi):
+        # hi * hi overflowed past 1.3e154, and hi**2 - t**2 cancelled far from zero
+        d = Uniform(lo, hi)
+        for u in [0.0, 0.25, 0.5, 0.9]:
+            t = lo + u * (hi - lo)
+            exact = (Fraction(hi) ** 2 - Fraction(t) ** 2) / (2 * (Fraction(hi) - Fraction(lo)))
+            assert d.partial_expectation(t) == pytest.approx(float(exact), rel=1e-15)
 
     def test_partial_expectation_matches_quadrature(self):
         d = Uniform(-1.0, 3.0)

@@ -184,6 +184,21 @@ class TestSolveEquilibrium:
                            for sol in sols)
                 assert [vars(sol) for sol in solve_equilibria(d, grid)] == [vars(sol) for sol in sols]
 
+    def test_a_huge_uniform_support_scales_the_unit_law(self):
+        # hi * hi overflowed in Uniform.partial_expectation, so this had no finite solution
+        sol = solve_equilibrium(Uniform(0.0, 1e160), AuctionParams(0.0, 0.5))
+        unit = solve_equilibrium(U01, AuctionParams(0.0, 0.5))
+        assert sol.b_star == 5.358983848622455e159
+        assert sol.b_star == pytest.approx(1e160 * unit.b_star, rel=1e-15)
+
+    def test_a_uniform_support_far_from_zero_scales_the_unit_law(self):
+        # hi**2 - t**2 cancelled there: b* came out 4.9 times the rescaled unit law's
+        d = Uniform(1e9, 1e9 + 1e-3)
+        width = d.support.hi - d.support.lo
+        sol = solve_equilibrium(d, AuctionParams(0.5 * (d.support.lo + d.support.hi), 0.5))
+        unit = solve_equilibrium(U01, AuctionParams(0.5, 0.5))
+        assert sol.b_star == pytest.approx(width * unit.b_star, rel=5e-4)
+
     def test_revenue_identity_at_solution(self):
         # revenue = p_exec * spread is a consequence of zero profit, so it is
         # asserted wherever the solved bid actually satisfies zero profit; at
