@@ -205,7 +205,8 @@ class Uniform(Distribution):
 
     def cdf(self, x):
         lo, hi = self._support.lo, self._support.hi
-        return _elementwise(x, lambda x: np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, (x - lo) / (hi - lo))))
+        return _elementwise(
+            x, lambda x: np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, (x - lo) / (hi - lo))))
 
     def pdf(self, x: float) -> float:
         lo, hi = self._support.lo, self._support.hi

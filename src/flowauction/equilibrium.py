@@ -123,7 +123,8 @@ class _Batch(NamedTuple):
 
     @classmethod
     def of(cls, params_seq: Sequence[AuctionParams]) -> "_Batch":
-        strike, alpha, p, q = np.array([(x.strike, x.alpha, x.p, x.q) for x in params_seq], dtype=float).T
+        columns = np.array([(x.strike, x.alpha, x.p, x.q) for x in params_seq], dtype=float)
+        strike, alpha, p, q = columns.T
         return cls(strike, alpha, p, q, 1.0 - alpha, 1.0 - p - q, any(x.p > 0.0 for x in params_seq))
 
     def at(self, i) -> "_Batch":

@@ -232,7 +232,7 @@ class TestSolveEquilibrium:
                 assert sol.effective_spread == effective_spread(d, params, sol.b_star)
                 assert sol.revenue == revenue(params, sol.b_star, p_exec)
 
-    def test_figure2_grid_takes_few_evaluations_and_rounds(self, monkeypatch, tmp_path):
+    def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
         # wrapped the way bench/spans.py wraps the laws; each law's grid is one
         # lockstep search, whose rounds each read the law once on the running
         # searches, and then one read of the records at the roots.  Plain
@@ -271,7 +271,8 @@ class TestSolveEquilibria:
                 assert vars(sol) == vars(solve_equilibrium(d, params))
                 if sol.status == SolutionStatus.INTERIOR_ROOT and p == 0.0:
                     # the scalar search on the scalar utility takes the same steps
-                    b = find_crossing(lambda b: expected_utility(d, params, b), 0.0, upper_bid_bracket(d, params))
+                    b = find_crossing(lambda b: expected_utility(d, params, b), 0.0,
+                                      upper_bid_bracket(d, params))
                     assert sol.b_star.hex() == b.hex()
             if p == 0.0:
                 assert sols[0].status == SolutionStatus.BOUNDARY_FULL_EROSION
