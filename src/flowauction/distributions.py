@@ -415,11 +415,11 @@ class QuadratureDistribution(Distribution):
         return _elementwise(t, _each(partial_expectation))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        u = np.atleast_1d(rng.random(size))
-        lo, hi = self._support.lo, self._support.hi
+        u = np.asarray(rng.random(size))
+        flat, lo, hi = u.reshape(-1), self._support.lo, self._support.hi
         # u < 1 = cdf(hi), so every search brackets its crossing at once
-        x = np.array(find_crossings(lambda i, x: u[i] - self.cdf(x), [lo] * u.size, [hi] * u.size))
-        return float(x[0]) if size is None else x
+        x = np.array(find_crossings(lambda i, x: flat[i] - self.cdf(x), [lo] * u.size, [hi] * u.size))
+        return float(x[0]) if size is None else x.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

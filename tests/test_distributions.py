@@ -402,6 +402,9 @@ class TestSampling:
         u = rng_from(5).random(40)
         expected = special.betaincinv(2.0, 2.0, u)
         assert np.max(np.abs(x - expected)) <= 1e-9
+        # one lockstep search inverts draws of any shape, each as it would alone
+        assert np.array_equal(wrapped.sample(rng_from(5), size=(4, 10)), x.reshape(4, 10))
+        assert wrapped.sample(rng_from(5)) == x[0]
 
     def test_quadrature_law_sampling_far_from_zero(self):
         # near 1e4 adjacent floats are ~1.8e-12 apart: bisection must stop on adjacency
