@@ -263,7 +263,7 @@ class TestConfigAndOutput:
 
 
 class TestExitContract:
-    # the bid doubles past the largest float, so the result holds inf
+    # the initial bid bracket (hi - K) / (1 - alpha) overflows, so the result holds inf
     HUGE = ("--dist", "uniform:0,1e308", "--alpha", "0.5", "--strike=0")
 
     def test_solve_non_finite_exits_3(self, capsys):

@@ -21,7 +21,6 @@ from flowauction import (
     solve_equilibrium,
     uniform_closed_form_bid,
 )
-from flowauction import equilibrium
 from flowauction._bisect import find_crossing
 from flowauction.cli import main
 from flowauction.equilibrium import solution_at, upper_bid_bracket
