@@ -4,8 +4,9 @@
 Every quantity the solver produces has an empirical counterpart: mean winner
 utility (zero at the equilibrium bid), execution rate, revenue per auction,
 and the average spread of executed orders.  The simulation also recovers the
-equilibrium bid itself by bisecting the empirical utility under common
-random numbers.
+equilibrium bid itself as the zero crossing of the empirical utility under
+common random numbers: one sort of the trials that can execute, then a
+binary search and one slice sum per bid the root search tries.
 """
 
 from flowauction import (

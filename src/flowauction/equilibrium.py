@@ -189,10 +189,18 @@ def check_execution_right(d: Distribution, params: AuctionParams) -> None:
 def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     """Initial upper bracket of the bid root finders: the bid whose threshold is the support top.
 
-    That is ``(hi - K) / (1 - alpha)``, or ``hi - K`` at ``alpha = 1``.
+    That is ``(hi - K) / (1 - alpha)``, or ``hi - K`` at ``alpha = 1``.  Raises
+    :class:`ConvergenceError` when it overflows: no float bid then reaches
+    the support top, and a search from it would return inf.
     """
     reach = d.support.hi - params.strike
-    return reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
+    upper = reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
+    if not math.isfinite(upper):
+        raise ConvergenceError(
+            f"the upper bid bracket (hi - K) / (1 - alpha) overflows to {upper} for {d!r} "
+            f"at strike {params.strike!r} and alpha {params.alpha!r}"
+        )
+    return upper
 
 
 def _solutions_at(d: Distribution, batch: _Batch, b: np.ndarray,
@@ -248,10 +256,12 @@ def solve_equilibria(
     check_tol(tol)
     batch = _Batch.of(params_seq)
     errors: list[Exception | None] = [None] * len(params_seq)
+    uppers = [0.0] * len(params_seq)
     for i, params in enumerate(params_seq):
         try:
             check_execution_right(d, params)
-        except InvalidParamsError as exc:
+            uppers[i] = upper_bid_bracket(d, params)
+        except (InvalidParamsError, ConvergenceError) as exc:
             errors[i] = exc
 
     eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
@@ -267,9 +277,9 @@ def solve_equilibria(
         return _utility(d, at, bids, t, d.cdf(t), d.partial_expectation(t))
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
-        b = np.where(eroded, d.support.hi - batch.strike, 0.0)
-        uppers = [upper_bid_bracket(d, params_seq[i]) for i in search]
-        for i, root in zip(search, find_crossings(utility, [0.0] * len(search), uppers)):
+        b = np.where(eroded, uppers, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
+        roots = find_crossings(utility, [0.0] * len(search), [uppers[i] for i in search])
+        for i, root in zip(search, roots):
             if isinstance(root, BracketError):
                 errors[i] = root
             else:
@@ -286,7 +296,7 @@ def solve_equilibria(
             continue
         m = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike))
         scale = m * max(1.0, m / (d.support.hi - d.support.lo))
-        if abs(sol.residual) > tol * scale:
+        if not (math.isfinite(sol.b_star) and abs(sol.residual) <= tol * scale):  # NaN fails too
             errors[i] = ConvergenceError(
                 f"residual {sol.residual:.3g} at bid {sol.b_star!r} for {d!r} at alpha {params.alpha!r} "
                 f"exceeds tol {tol!r} at price scale {scale:.3g}"
@@ -336,7 +346,9 @@ def solve_equilibrium(
         BracketError: no sign change after the doubling budget (bug signal).
         ConvergenceError: the residual at the root found exceeds ``tol``
             times the price scale (the search stops at adjacent floats, so a
-            tiny ``tol`` can be out of reach); the message names the law and
-            alpha.
+            tiny ``tol`` can be out of reach), or the root or residual is not
+            finite; the message names the law and alpha.  Also raised when
+            the initial upper bracket overflows (see
+            :func:`upper_bid_bracket`).
     """
     return solve_equilibria(d, [params], tol)[0]

@@ -18,4 +18,6 @@ class BracketError(AuctionError, RuntimeError):
 
 class ConvergenceError(AuctionError, ArithmeticError):
     """A tolerance was not met: the solver's residual exceeds ``tol`` at the
-    root it found, or a quadrature law's error estimate cannot reach it."""
+    root it found, or a quadrature law's error estimate cannot reach it; or a
+    result left the float range: a bid bracket or a sum of trial gains
+    overflowed."""

@@ -23,7 +23,7 @@ import numpy as np
 from ._bisect import find_crossing
 from .distributions import Distribution
 from .equilibrium import AuctionParams, check_execution_right, upper_bid_bracket
-from .errors import InvalidParamsError
+from .errors import ConvergenceError, InvalidParamsError
 
 __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_bid"]
 
@@ -75,29 +75,29 @@ class SimResult:
 
 
 def _trials(d: Distribution, params: AuctionParams, seed_seq: np.random.SeedSequence, m: int):
-    """Draw ``m`` seeded trials (a branch uniform, then a price S); return ``S`` and ``settle``.
+    """Draw ``m`` seeded trials (a branch uniform, then a price S).
 
-    ``settle(bid)`` gives each trial's execution indicator and gain ``S - K - (1-alpha)*bid``
-    (0 where it does not execute); it keeps only S and the branch masks, not the uniforms.
+    Returns each trial's ``x = S - K``, the mask of trials whose execution is
+    forced and the mask of those where the winner decides; the uniforms are
+    not kept.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     u = rng.random(m)
-    s = d.sample(rng, size=m)
-    forced_exec = u < params.p
-    voluntary = u >= params.p + params.q
+    x = d.sample(rng, size=m) - params.strike
+    return x, u < params.p, u >= params.p + params.q
 
-    def settle(bid: float):
-        gain_if_exec = s - params.strike - (1.0 - params.alpha) * bid
-        executed = forced_exec | (voluntary & (gain_if_exec > 0.0))
-        return executed, np.where(executed, gain_if_exec, 0.0)
 
-    return s, settle
+def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
+    """Each trial's execution indicator and gain ``x - (1-alpha)*bid`` (0 where it does not execute)."""
+    gain_if_exec = x - (1.0 - params.alpha) * bid
+    executed = forced | (voluntary & (gain_if_exec > 0.0))
+    return executed, np.where(executed, gain_if_exec, 0.0)
 
 
 def _run_chunk(d, params, bid, seed_seq, m):
-    s, settle = _trials(d, params, seed_seq, m)
-    executed, gain = settle(bid)
-    spread = (s - params.strike)[executed]
+    x, forced, voluntary = _trials(d, params, seed_seq, m)
+    executed, gain = _settle(params, bid, x, forced, voluntary)
+    spread = x[executed]
     return (
         float(gain.sum()),
         float((gain * gain).sum()),
@@ -186,6 +186,36 @@ def simulate_auction(
     )
 
 
+def _table_utility(params: AuctionParams, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
+    """The trials' mean utility as a function of a bid >= 0, read from one sorted table.
+
+    At bid ``b`` a trial that executes gains ``x - c`` with ``c = (1-alpha)*b``:
+    a forced trial always, a voluntary one iff ``x > c``, which at ``c >= 0``
+    only a trial with ``x > 0`` can meet.  With ``xv`` those trials' ``x``
+    sorted and ``k`` the number above ``c``, the gains total
+    ``sum(x_forced) + sum(xv[-k:]) - (n_forced + k)*c``: one binary search
+    and one slice sum per bid.  That is the mean of :func:`_settle`'s gains
+    up to rounding, ties ``x == c`` not executing in either.  Raises
+    :class:`ConvergenceError` when a sum of gains overflows.
+    """
+    n = len(x)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        sum_forced = float(x[forced].sum())
+    n_forced = int(forced.sum())
+    xv = np.sort(x[voluntary & (x > 0.0)])
+
+    def utility(bid: float) -> float:
+        c = (1.0 - params.alpha) * bid
+        j = int(np.searchsorted(xv, c, side="right"))
+        with np.errstate(over="ignore"):
+            gains = sum_forced + float(xv[j:].sum())
+        if not math.isfinite(gains):
+            raise ConvergenceError(f"the trial gains at bid {bid!r} sum to {gains}, beyond the float range")
+        return (gains - (n_forced + len(xv) - j) * c) / n - params.alpha * bid
+
+    return utility
+
+
 def calibrate_zero_profit_bid(
     d: Distribution,
     params: AuctionParams,
@@ -196,11 +226,17 @@ def calibrate_zero_profit_bid(
 
     One batch of common random numbers (branch uniforms and price draws) is
     generated up front and reused for every bid evaluated, which makes the
-    empirical expected utility a deterministic, nonincreasing function of
-    the bid; the bracketed search of :func:`find_crossing` then finds its
-    zero crossing in about 10 evaluations, and returns 0 when the utility at
-    b = 0 is already nonpositive.  Requires ``alpha > 0`` or ``p > 0`` so
-    that the crossing is strict.
+    empirical expected utility a deterministic, nonincreasing, piecewise
+    linear function of the bid.  It is read from one table built after the
+    draws: the forced trials' gain sum and count, and the sorted gains of
+    the voluntary trials that execute at some bid >= 0 (see
+    :func:`_table_utility`).  After that one sort each evaluation costs a
+    binary search and one slice sum, and the bracketed search of
+    :func:`find_crossing` finds the zero crossing in about 10 of them; it
+    returns 0 when the utility at b = 0 is already nonpositive.  Requires
+    ``alpha > 0`` or ``p > 0`` so that the crossing is strict.  Raises
+    :class:`ConvergenceError` when the initial bracket or a sum of trial
+    gains overflows.
     """
     if params.alpha == 0.0 and params.p == 0.0:
         raise InvalidParamsError(
@@ -209,10 +245,7 @@ def calibrate_zero_profit_bid(
         )
     _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
     check_execution_right(d, params)
+    upper = upper_bid_bracket(d, params)
 
-    _, settle = _trials(d, params, np.random.SeedSequence(seed), n_per_eval)
-
-    def empirical_eu(bid: float) -> float:
-        return float(settle(bid)[1].mean()) - params.alpha * bid
-
-    return find_crossing(empirical_eu, 0.0, upper_bid_bracket(d, params))
+    trials = _trials(d, params, np.random.SeedSequence(seed), n_per_eval)
+    return find_crossing(_table_utility(params, *trials), 0.0, upper)

@@ -263,14 +263,20 @@ class TestConfigAndOutput:
 
 
 class TestExitContract:
-    # the initial bid bracket (hi - K) / (1 - alpha) overflows, so the result holds inf
+    # the initial bid bracket (hi - K) / (1 - alpha) overflows, so no float bid is the root
     HUGE = ("--dist", "uniform:0,1e308", "--alpha", "0.5", "--strike=0")
+    HUGE_FAILURE = ("numeric failure: the upper bid bracket (hi - K) / (1 - alpha) overflows to inf "
+                    "for Uniform(0.0, 1e+308) at strike 0.0 and alpha 0.5\n")
 
     def test_solve_non_finite_exits_3(self, capsys):
         code, out, err = run(capsys, "solve", *self.HUGE)
         assert code == 3
         assert out == ""
-        assert err == "numeric failure: b_star is inf\n"
+        assert err == self.HUGE_FAILURE
+
+    def test_simulate_on_an_overflowing_bracket_exits_3(self, capsys):
+        # a numeric failure, not a usage error about the bid the solver hands on
+        assert run(capsys, "simulate", *self.HUGE, "--n", "1000") == (3, "", self.HUGE_FAILURE)
 
     def test_a_support_wider_than_the_largest_float_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "--dist", "uniform:-1e308,1e308", "--alpha", "0.5")

@@ -190,6 +190,22 @@ class TestSolveEquilibrium:
         assert sol.b_star == 5.358983848622455e159
         assert sol.b_star == pytest.approx(1e160 * unit.b_star, rel=1e-15)
 
+    @pytest.mark.parametrize("params", [AuctionParams(0.0, 0.5), AuctionParams(-1e308, 0.0)])
+    def test_an_overflowing_bid_bracket_raises(self, params):
+        # (hi - K) / (1 - alpha) is inf: no float bid, searched or eroded, is the root
+        with pytest.raises(ConvergenceError, match="upper bid bracket .* overflows to inf"):
+            solve_equilibrium(Uniform(0.0, 1e308), params)
+        with pytest.raises(ConvergenceError, match="upper bid bracket"):
+            upper_bid_bracket(Uniform(0.0, 1e308), params)
+
+    def test_a_nan_residual_fails_the_gate(self):
+        class NanTail(Uniform):
+            def partial_expectation(self, t):
+                return np.full(np.shape(t), math.nan)
+
+        with pytest.raises(ConvergenceError, match="residual nan"):
+            solve_equilibrium(NanTail(0.0, 1.0), AuctionParams(0.5, 0.5))
+
     def test_a_uniform_support_far_from_zero_scales_the_unit_law(self):
         # hi**2 - t**2 cancelled there: b* came out 4.9 times the rescaled unit law's
         d = Uniform(1e9, 1e9 + 1e-3)
@@ -286,9 +302,13 @@ class TestSolveEquilibria:
     # search, and alpha = 0 erodes the bid without one
     GATED, GATED_TOO = AuctionParams(0.5, 0.1), AuctionParams(0.5, 0.2)
     REFUSED, SOLVED, ERODED = AuctionParams(1.0, 0.5), AuctionParams(0.5, 0.5), AuctionParams(0.5, 0.0)
+    # on Beta(2, 5) at alpha 0.5 the bracket (1 - K) / 0.5 overflows for K below about -9e307
+    OVERFLOWED = AuctionParams(-1e308, 0.5)
 
     @pytest.mark.parametrize("grid", [[SOLVED, GATED_TOO, REFUSED, GATED], [ERODED, REFUSED, GATED],
-                                      [GATED, GATED_TOO], [GATED_TOO, GATED], [SOLVED, ERODED]])
+                                      [GATED, GATED_TOO], [GATED_TOO, GATED], [SOLVED, ERODED],
+                                      [SOLVED, OVERFLOWED, GATED], [GATED, OVERFLOWED],
+                                      [REFUSED, OVERFLOWED]])
     def test_the_first_failing_element_raises_what_it_raises_alone(self, grid):
         d = Beta(2.0, 5.0)
 

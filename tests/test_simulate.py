@@ -1,10 +1,14 @@
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowauction import (
     AuctionParams,
     Beta,
+    ConvergenceError,
     InvalidParamsError,
     SimConfig,
     Uniform,
@@ -16,6 +20,7 @@ from flowauction import (
     simulate_auction,
     solve_equilibrium,
 )
+from flowauction.simulate import _settle, _table_utility, _trials
 
 U01 = Uniform(0.0, 1.0)
 
@@ -169,3 +174,69 @@ class TestCalibration:
     def test_liability_case_returns_zero(self):
         params = AuctionParams(strike=0.8, alpha=0.5, p=0.5, q=0.2)
         assert calibrate_zero_profit_bid(U01, params, 10_000, 0) == 0.0
+
+    def test_an_overflowing_bid_bracket_raises(self):
+        # no float bid puts the threshold at the support top
+        with pytest.raises(ConvergenceError, match="upper bid bracket .* overflows to inf"):
+            calibrate_zero_profit_bid(Uniform(0.0, 1e308), AuctionParams(0.0, 0.5), 10_000, 1)
+
+    def test_an_overflowing_sum_of_gains_raises(self):
+        # the bracket is finite, but 10^4 gains near 1e307 sum past the float range
+        with pytest.raises(ConvergenceError, match="sum to inf"):
+            calibrate_zero_profit_bid(Uniform(0.0, 1e307), AuctionParams(0.0, 0.5), 10_000, 1)
+
+    # bids calibrated from 200,000 trials of seed 42 by the search on the direct mean of
+    # each bid's trial gains; the sorted table sums them in another order
+    @pytest.mark.parametrize("d, params, bid", [
+        (U01, AuctionParams(0.5, 0.5), 0.1713642486799053),
+        (U01, AuctionParams(0.5, 0.5, 0.2, 0.1), 0.11406823213846301),
+        (U01, AuctionParams(0.5, 1.0), 0.12482231357753538),
+        (Beta(2.0, 5.0), AuctionParams(0.5, 0.5), 0.018249553327451887),
+        (Beta(2.0, 5.0), AuctionParams(0.5, 1.0), 0.01008126885407113),
+        (Beta(2.0, 5.0), AuctionParams(0.5, 0.5, 0.2, 0.1), 0.0),
+    ])
+    def test_calibrated_bids_match_the_direct_search(self, d, params, bid):
+        got = calibrate_zero_profit_bid(d, params, 200_000, 42)
+        assert got == pytest.approx(bid, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def trial_batches(draw):
+    """A law, auction parameters, a small seeded batch of trials and bids to read it at."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-100.0, 100.0))
+        d = Uniform(lo, lo + draw(st.floats(1e-3, 100.0)))
+    else:
+        d = Beta(draw(st.floats(0.2, 50.0)), draw(st.floats(0.2, 50.0)))
+    lo, hi = d.support.lo, d.support.hi
+    strike = lo + draw(st.floats(-0.5, 1.5)) * (hi - lo)
+    # where 1 - alpha is a power of two, (1 - alpha) * bid is exact and ties are common
+    alpha = draw(st.sampled_from([1.0, 0.5, 0.75, 0.875]) | st.floats(0.0, 1.0, exclude_min=True))
+    p = draw(st.floats(0.0, 1.0))
+    q = draw(st.floats(0.0, 1.0 - p))
+    params = AuctionParams(strike, alpha, p, q)
+    x, forced, voluntary = _trials(d, params, np.random.SeedSequence(draw(st.integers(0, 2**64 - 1))),
+                                   draw(st.integers(2, 64)))
+    c = 1.0 - alpha
+    span = 2.0 * (hi - lo) / max(c, 1e-3)
+    bids = [u * span for u in draw(st.lists(st.floats(0.0, 1.0), max_size=8))]
+    # bids whose contingent part (1 - alpha) * bid equals a trial's x exactly
+    for xi in draw(st.lists(st.sampled_from(x.tolist()), max_size=4)):
+        if c > 0.0 and xi > 0.0:
+            b = xi / c
+            bids += [t for t in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)) if c * t == xi]
+    return params, x, forced, voluntary, bids
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=trial_batches())
+def test_the_sorted_table_equals_the_direct_mean(batch):
+    params, x, forced, voluntary, bids = batch
+    utility = _table_utility(params, x, forced, voluntary)
+    c = 1.0 - params.alpha
+    for bid in bids:
+        executed, gain = _settle(params, bid, x, forced, voluntary)
+        direct = float(gain.mean()) - params.alpha * bid
+        # both sum the same executed gains x - c*bid, in different orders and groupings
+        scale = (np.abs(x[executed]).sum() + executed.sum() * c * bid) / len(x) + params.alpha * bid
+        assert abs(utility(bid) - direct) <= 16 * sys.float_info.epsilon * scale
