@@ -28,6 +28,7 @@ is never printed).  Every failure is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,26 +67,45 @@ def _fmt(value) -> str:
     return format(x, ".12g")
 
 
+def _column(values: tuple) -> list[str]:
+    """One CSV column's fields; the formatter is picked once, from the types in the column."""
+    if set(map(type, values)) <= {float, type(None)}:
+        return ["" if v is None else format(v + 0.0, ".12g") for v in values]  # + 0.0 writes -0.0 as 0
+    return list(map(_fmt, values))
+
+
+def _check_finite(records: list[dict], summary: dict | None) -> None:
+    """Raise :class:`FloatingPointError` naming the first NaN or infinite value, row by row."""
+    for record in (*records, summary or {}):
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FloatingPointError(f"{key} is {value}")
+
+
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
 def render(records: list[dict], fmt: str, *, one: bool = False, summary: dict | None = None) -> str:
     """Write ``records`` as CSV or JSON; ``one`` makes the JSON an object, not a list.
 
     ``summary`` values follow the rows: a ``# key=value`` CSV footer, or keys
     beside a JSON ``rows`` list.  A NaN or infinite value raises
     :class:`FloatingPointError`; None is written as an empty field or null.
+    CSV is written column by column, as every record has the same keys.
     """
-    for record in (*records, summary or {}):
-        for key, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise FloatingPointError(f"{key} is {value}")
     if fmt == "json":
+        _check_finite(records, summary)
         payload = records[0] if one else records
         if summary is not None:
             payload = {"rows": records, **summary}
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(records[0])]
-    lines.extend(",".join(_fmt(v) for v in record.values()) for record in records)
+    columns = [_column(values) for values in zip(*(record.values() for record in records))]
+    footer = {k: _fmt(v) for k, v in (summary or {}).items()}
+    if any(not _NON_FINITE.isdisjoint(fields) for fields in (*columns, footer.values())):
+        _check_finite(records, summary)  # a field reading nan or inf may also be a label
+    lines = [",".join(records[0]), *map(",".join, zip(*columns))]
     if summary is not None:
-        lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
+        lines.append("# " + " ".join(f"{k}={v}" for k, v in footer.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -163,7 +183,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParamsError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="flowauction",
         description="Equilibrium bids, execution probability, revenue and effective "
@@ -248,14 +270,15 @@ def _settings(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def _solution_records(cfg, alphas) -> list[dict]:
-    labeled = cfg.figure2 or len(cfg.dists) > 1
-    records = []
-    for spec in cfg.dists:
-        grid = [AuctionParams(cfg.strike, alpha, cfg.p, cfg.q) for alpha in alphas]
-        for alpha, sol in zip(alphas, solve_equilibria(spec.build(), grid, cfg.tol)):
-            record = {"alpha": alpha, **vars(sol)}
-            records.append({"dist": str(spec), **record} if labeled else record)
-    return records
+    """One record per law and alpha, law-major, all solved in one search."""
+    grid = [AuctionParams(cfg.strike, alpha, cfg.p, cfg.q) for alpha in alphas]
+    laws = [spec.build() for spec in cfg.dists for _ in grid]
+    sols = solve_equilibria(laws, grid * len(cfg.dists), cfg.tol)
+    rows = zip(alphas * len(cfg.dists), map(vars, sols))
+    if not (cfg.figure2 or len(cfg.dists) > 1):
+        return [{"alpha": alpha, **fields} for alpha, fields in rows]
+    labels = [str(spec) for spec in cfg.dists for _ in grid]
+    return [{"dist": label, "alpha": alpha, **fields} for label, (alpha, fields) in zip(labels, rows)]
 
 
 def cmd_solve(cfg) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -107,7 +107,8 @@ def option_value(d: Distribution, t: float) -> float:
 
 
 class _Batch(NamedTuple):
-    """The fields of a sequence of :class:`AuctionParams`, one float64 array each.
+    """The fields of a sequence of :class:`AuctionParams`, one float64 array each,
+    with the mean of each element's law.
 
     Every formula below reads the auction through one, so it serves a single
     auction and a whole grid alike.
@@ -119,17 +120,43 @@ class _Batch(NamedTuple):
     q: np.ndarray
     contingent: np.ndarray  # 1 - alpha, the share of the bid paid on execution
     decides: np.ndarray  # 1 - p - q, the chance that the winner decides
+    mean: np.ndarray  # the law's mean, which forced execution earns
     forced: bool  # whether any p is positive
 
     @classmethod
-    def of(cls, params_seq: Sequence[AuctionParams]) -> "_Batch":
+    def of(cls, params_seq: Sequence[AuctionParams], means) -> "_Batch":
         columns = np.array([(x.strike, x.alpha, x.p, x.q) for x in params_seq], dtype=float)
         strike, alpha, p, q = columns.T
-        return cls(strike, alpha, p, q, 1.0 - alpha, 1.0 - p - q, any(x.p > 0.0 for x in params_seq))
+        return cls(strike, alpha, p, q, 1.0 - alpha, 1.0 - p - q, np.asarray(means, dtype=float),
+                   bool((p > 0.0).any()))
 
     def at(self, i) -> "_Batch":
         """The elements at indices ``i``."""
         return _Batch(*(column[i] for column in self[:-1]), self.forced)
+
+
+class _Laws:
+    """The law of each element of a batch, held as runs of adjacent elements
+    that share one; in law-major order each law is one run.  ``lo``, ``hi``
+    and ``mean`` hold each element's support and mean."""
+
+    def __init__(self, laws: Sequence[Distribution]):
+        self.starts = [i for i, law in enumerate(laws) if i == 0 or law is not laws[i - 1]]
+        self.runs = [laws[i] for i in self.starts]
+        fields = [(law.support.lo, law.support.hi, law.mean()) for law in self.runs]
+        self.lo, self.hi, self.mean = np.repeat(fields, np.diff([*self.starts, len(laws)]), axis=0).T
+
+    def read(self, i: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``cdf`` and ``partial_expectation`` at ``t[k]`` under the law of element
+        ``i[k]``, for increasing ``i``: each run's law is read once, on its slice."""
+        if len(self.runs) == 1:
+            return self.runs[0].cdf(t), self.runs[0].partial_expectation(t)
+        F, P = np.empty_like(t), np.empty_like(t)
+        cuts = [*np.searchsorted(i, self.starts).tolist(), len(i)]
+        for law, a, b in zip(self.runs, cuts, cuts[1:]):
+            if a < b:
+                F[a:b], P[a:b] = law.cdf(t[a:b]), law.partial_expectation(t[a:b])
+        return F, P
 
 
 def _threshold(batch: _Batch, b):
@@ -137,13 +164,13 @@ def _threshold(batch: _Batch, b):
 
 
 # Every quantity at a bid reads the law only through F = cdf(t) and
-# P = partial_expectation(t) at the threshold t; _solutions_at reads them once.
+# P = partial_expectation(t) at the threshold t; _record_columns reads them once.
 
-def _utility(d: Distribution, batch: _Batch, b, t, F, P):
+def _utility(batch: _Batch, b, t, F, P):
     eu = batch.decides * (P - t * (1.0 - F)) - batch.alpha * b
     if not batch.forced:
         return eu
-    forced = batch.p * (d.mean() - batch.strike - batch.contingent * b)
+    forced = batch.p * (batch.mean - batch.strike - batch.contingent * b)
     return np.where(batch.p > 0.0, eu + forced, eu)
 
 
@@ -156,10 +183,10 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     execution contributes ``mean - K - (1 - alpha) * b`` irrespective of
     profitability.
     """
-    batch = _Batch.of([params])
+    batch = _Batch.of([params], [d.mean()])
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         t = _threshold(batch, b)
-        return float(_utility(d, batch, b, t, d.cdf(t), d.partial_expectation(t))[0])
+        return float(_utility(batch, b, t, d.cdf(t), d.partial_expectation(t))[0])
 
 
 def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
@@ -177,13 +204,24 @@ def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:
     return params.alpha * b_star + (1.0 - params.alpha) * b_star * p_exec
 
 
+def _worthless(strike, top, p):
+    """Whether no price beats the strike and nothing forces execution, elementwise."""
+    return (strike >= top) & (p == 0.0)
+
+
 def check_execution_right(d: Distribution, params: AuctionParams) -> None:
     """Raise :class:`InvalidParamsError` if no price beats the strike and nothing forces execution."""
-    if params.strike >= d.support.hi and params.p == 0.0:
+    if _worthless(params.strike, d.support.hi, params.p):
         raise InvalidParamsError(
             f"strike {params.strike} is not below the support top {d.support.hi}; "
             "the execution right is worthless"
         )
+
+
+def _bid_bracket(top, strike, alpha):
+    """``(top - K) / (1 - alpha)``, or ``top - K`` at ``alpha = 1``, elementwise."""
+    with np.errstate(over="ignore"):  # an overflow is refused by the callers
+        return (top - strike) / np.where(alpha < 1.0, 1.0 - alpha, 1.0)
 
 
 def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
@@ -193,8 +231,7 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     :class:`ConvergenceError` when it overflows: no float bid then reaches
     the support top, and a search from it would return inf.
     """
-    reach = d.support.hi - params.strike
-    upper = reach / (1.0 - params.alpha) if params.alpha < 1.0 else reach
+    upper = float(_bid_bracket(d.support.hi, params.strike, params.alpha))
     if not math.isfinite(upper):
         raise ConvergenceError(
             f"the upper bid bracket (hi - K) / (1 - alpha) overflows to {upper} for {d!r} "
@@ -203,21 +240,23 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return upper
 
 
-def _solutions_at(d: Distribution, batch: _Batch, b: np.ndarray,
-                  statuses: Sequence[SolutionStatus | None]) -> list[EquilibriumSolution]:
-    """The record of bid ``b[i]`` under ``batch``'s element ``i``, for every ``i``.
+def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The fields of the record of bid ``b[i]`` under element ``i``, for every ``i``,
+    as arrays: b, threshold, p_exec, spread, revenue and utility.
 
-    The law is read once, at all the thresholds, for every field.
+    Each law is read once, at all its elements' thresholds, for every field.
     """
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         t = _threshold(batch, b)
-        F, P = d.cdf(t), d.partial_expectation(t)
+        F, P = laws.read(np.arange(len(b)), t)
         p_exec = batch.p + batch.decides * (1.0 - F)
         num = batch.decides * (P - batch.strike * (1.0 - F))  # E[(S - K) 1{execution}]
         if batch.forced:
-            num = np.where(batch.p > 0.0, num + batch.p * (d.mean() - batch.strike), num)
-        spread = num / p_exec
-        columns = (b, t, p_exec, spread, revenue(batch, b, p_exec), _utility(d, batch, b, t, F, P))
+            num = np.where(batch.p > 0.0, num + batch.p * (batch.mean - batch.strike), num)
+        return b, t, p_exec, num / p_exec, revenue(batch, b, p_exec), _utility(batch, b, t, F, P)
+
+
+def _records(columns: tuple[np.ndarray, ...], statuses) -> list[EquilibriumSolution]:
     return [
         EquilibriumSolution(b, t, p_exec, None if p_exec <= 0.0 else spread, rev, residual, status)
         for (b, t, p_exec, spread, rev, residual), status
@@ -235,76 +274,83 @@ def solution_at(
     exactly.  ``status`` says how ``b`` was found: None for a bid that was
     given rather than solved.
     """
-    return _solutions_at(d, _Batch.of([params]), np.array([b], dtype=float), [status])[0]
+    batch = _Batch.of([params], [d.mean()])
+    return _records(_record_columns(_Laws([d]), batch, np.array([b], dtype=float)), [status])[0]
 
 
 def solve_equilibria(
-    d: Distribution, params_seq: Sequence[AuctionParams], tol: float = 1e-12
+    d: Distribution | Sequence[Distribution], params_seq: Sequence[AuctionParams], tol: float = 1e-12
 ) -> list[EquilibriumSolution]:
     """:func:`solve_equilibrium` for each element of ``params_seq``, in one lockstep search.
 
-    Each round of :func:`find_crossings` reads the law once, on the bids of
-    every search still running, and each element takes exactly the float
-    steps a search of its own would, so element ``i`` of the result equals
-    ``solve_equilibrium(d, params_seq[i], tol)``.  When elements fail, the
-    error raised is the first failing element's, as a loop over
-    ``params_seq`` would raise it.
+    ``d`` is one law for every element, or a sequence with one law per
+    element.  Each round of :func:`find_crossings` reads each law once, on
+    the bids of its searches still running (a run of adjacent elements that
+    share a law is one slice, so law-major order reads every law once), and
+    each element takes exactly the float steps a search of its own would, so
+    element ``i`` of the result equals ``solve_equilibrium(d_i,
+    params_seq[i], tol)``.  The execution-right check, the upper bracket, the
+    boundary regimes and the residual gate are array arithmetic over all
+    elements; Python runs per element only to build the records and the
+    message of a failure.  When elements fail, the error raised is the first
+    failing element's, as a loop over ``params_seq`` would raise it.
+    ``sweep --figure2`` solves its 4 laws × 101 alphas in one such call.
     """
     params_seq = list(params_seq)
+    each = [d] * len(params_seq) if isinstance(d, Distribution) else list(d)
+    if len(each) != len(params_seq):
+        raise InvalidParamsError(
+            f"expected one law per element: {len(each)} laws for {len(params_seq)} elements")
     if not params_seq:
         return []
     check_tol(tol)
-    batch = _Batch.of(params_seq)
-    errors: list[Exception | None] = [None] * len(params_seq)
-    uppers = [0.0] * len(params_seq)
-    for i, params in enumerate(params_seq):
-        try:
-            check_execution_right(d, params)
-            uppers[i] = upper_bid_bracket(d, params)
-        except (InvalidParamsError, ConvergenceError) as exc:
-            errors[i] = exc
-
+    laws = _Laws(each)
+    lo, hi = laws.lo, laws.hi
+    batch = _Batch.of(params_seq, laws.mean)
+    upper = _bid_bracket(hi, batch.strike, batch.alpha)
+    refused = _worthless(batch.strike, hi, batch.p) | ~np.isfinite(upper)
     eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
-    statuses = [SolutionStatus.BOUNDARY_FULL_EROSION if e else SolutionStatus.INTERIOR_ROOT
-                for e in eroded.tolist()]
-    search = [i for i, status in enumerate(statuses)
-              if status is SolutionStatus.INTERIOR_ROOT and errors[i] is None]
+    solved = ~(eroded | refused)
+    search = np.flatnonzero(solved)
     searched = batch if len(search) == len(params_seq) else batch.at(search)
 
     def utility(i: np.ndarray, bids: np.ndarray) -> np.ndarray:
         at = searched if len(i) == len(search) else searched.at(i)
         t = _threshold(at, bids)
-        return _utility(d, at, bids, t, d.cdf(t), d.partial_expectation(t))
+        return _utility(at, bids, t, *laws.read(search[i], t))
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
-        b = np.where(eroded, uppers, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
-        roots = find_crossings(utility, [0.0] * len(search), [uppers[i] for i in search])
-        for i, root in zip(search, roots):
-            if isinstance(root, BracketError):
-                errors[i] = root
-            else:
-                b[i] = root
+        roots = find_crossings(utility, np.zeros(len(search)), upper[search])
+        unbracketed = {int(i): root for i, root in zip(search, roots) if isinstance(root, BracketError)}
+        b = np.where(eroded & ~refused, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
+        b[search] = [0.0 if isinstance(root, BracketError) else root for root in roots]
 
-    sols = _solutions_at(d, batch, b, statuses)
-    for i in search:
-        sol, params = sols[i], params_seq[i]
-        if errors[i] is not None:
-            continue
-        if sol.b_star == 0.0 and sol.residual <= 0.0:
-            # the search stops at once where utility at b = 0 is already nonpositive
-            sols[i] = replace(sol, status=SolutionStatus.BOUNDARY_ZERO_BID)
-            continue
-        m = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike))
-        scale = m * max(1.0, m / (d.support.hi - d.support.lo))
-        if not (math.isfinite(sol.b_star) and abs(sol.residual) <= tol * scale):  # NaN fails too
-            errors[i] = ConvergenceError(
-                f"residual {sol.residual:.3g} at bid {sol.b_star!r} for {d!r} at alpha {params.alpha!r} "
-                f"exceeds tol {tol!r} at price scale {scale:.3g}"
-            )
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return sols
+        columns = _record_columns(laws, batch, b)
+        residual = columns[-1]
+        solved[list(unbracketed)] = False
+        # the search stops at once where utility at b = 0 is already nonpositive
+        zero_bid = solved & (b == 0.0) & (residual <= 0.0)
+        m = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), np.abs(batch.strike))
+        scale = m * np.maximum(1.0, m / (hi - lo))
+        gated = solved & ~zero_bid & ~(np.isfinite(b) & (np.abs(residual) <= tol * scale))  # NaN fails too
+    failing = [*np.flatnonzero(refused | gated).tolist(), *unbracketed]
+    if failing:
+        i = min(failing)
+        if i in unbracketed:
+            raise unbracketed[i]
+        # a refused element raises from the checks that refused it, with their messages
+        check_execution_right(each[i], params_seq[i])
+        upper_bid_bracket(each[i], params_seq[i])
+        raise ConvergenceError(
+            f"residual {float(residual[i]):.3g} at bid {float(b[i])!r} for {each[i]!r} at alpha "
+            f"{params_seq[i].alpha!r} exceeds tol {tol!r} at price scale {float(scale[i]):.3g}"
+        )
+    statuses = [SolutionStatus.INTERIOR_ROOT] * len(params_seq)
+    for i in np.flatnonzero(eroded).tolist():
+        statuses[i] = SolutionStatus.BOUNDARY_FULL_EROSION
+    for i in np.flatnonzero(zero_bid).tolist():
+        statuses[i] = SolutionStatus.BOUNDARY_ZERO_BID
+    return _records(columns, statuses)
 
 
 def solve_equilibrium(
@@ -317,7 +363,9 @@ def solve_equilibrium(
     exists; the search of :mod:`flowauction._bisect` narrows that bracket
     with safeguarded Chandrupatla steps (inverse quadratic interpolation or
     bisection) until it is two adjacent floats, in about 10 evaluations of
-    the utility.  This is :func:`solve_equilibria` of one element.  The
+    the utility.  This is :func:`solve_equilibria` of one element: the
+    array search of one-element arrays, which costs about as much per round
+    as a batch of a hundred, so grids are best solved in one call.  The
     initial upper bracket ``(hi - K)/(1 - alpha)`` places the execution
     threshold at the top of the support; it is doubled geometrically if
     needed.  The law is evaluated once more, at the root, for the residual,

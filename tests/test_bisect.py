@@ -2,12 +2,13 @@
 
 import bisect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowauction._bisect import find_crossing, find_crossings
+from flowauction._bisect import _clamp, find_crossing, find_crossings
 from flowauction.errors import BracketError
 
 
@@ -165,3 +166,119 @@ def test_lockstep_calls_f_once_per_round_on_the_running_searches():
     assert sizes[0] == 4 and sizes == sorted(sizes, reverse=True)
     rounds = len(sizes)
     assert find_crossings(f, [], []) == [] and len(sizes) == rounds
+
+
+# ---------------------------------------------------------------------------
+# the array search against a scalar reference
+# ---------------------------------------------------------------------------
+
+def reference_search(lo, hi):
+    """The search step on Python floats, as a generator: it yields each point
+    to evaluate, is sent ``f`` there and returns the crossing.  This is the
+    scalar statement of the step that ``find_crossings`` takes in arrays."""
+    f_lo = yield lo
+    if f_lo <= 0.0:
+        return lo
+    doublings = 0
+    while (f_hi := (yield hi)) > 0.0:
+        if doublings == 64:
+            raise BracketError(f"no sign change up to {hi}; the function never turns nonpositive")
+        hi *= 2.0
+        doublings += 1
+    # a: newest point, b: the other bracket end, c: the end last dropped
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    t = 0.5
+    widths = (math.inf, hi - lo)  # bracket widths two steps and one step back
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        x = a + t * (b - a)
+        if t == 0.5 or not lo < x < hi:
+            x = mid
+        fx = yield x
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        lo, hi = (a, b) if fa > 0.0 else (b, a)
+        width = hi - lo
+        t = 0.5
+        if width <= 0.5 * widths[0] and fc != fa and fc != fb:
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+                tl = 2.0 * sys.float_info.epsilon * abs(a) / width
+                t = min(max(t, tl), 1.0 - tl) if tl < 0.5 else 0.5
+        widths = (widths[1], width)
+
+
+def reference_crossing(f, lo, hi):
+    """What ``reference_search`` returns on ``f``, or the :class:`BracketError` it raises."""
+    search = reference_search(lo, hi)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+    except BracketError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, BracketError):
+        assert isinstance(got, BracketError) and str(got) == str(want)
+    else:
+        assert not isinstance(got, BracketError) and got.hex() == float(want).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=st.lists(nonincreasing_functions(), min_size=1, max_size=6), data=st.data())
+def test_the_array_search_takes_the_reference_steps(cases, data):
+    if data.draw(st.booleans()):  # a search that never brackets its crossing, among the others
+        cases.insert(data.draw(st.integers(0, len(cases))), (lambda x: 1.0, 0.5, 1.0))
+    for (f, lo, hi), got in zip(cases, lockstep(cases)):
+        assert_same_outcome(got, reference_crossing(f, lo, hi))
+
+
+TINY = math.nextafter(0.0, 1.0)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    # the last step lands on the exact zero as the bracket collapses to adjacent
+    # floats: the point tried, not the midpoint, is the crossing
+    (lambda x: TINY - x, 0.0, 1.0),
+    (lambda x: (TINY - x) * 1e300, 0.0, 1.0),
+    # NaN and infinite values reach the interpolation and its clipping to
+    # [tl, 1 - tl], which must keep the builtins' comparisons
+    (lambda x: math.inf if x < 0.3 else -1.0, 0.0, 1.0),
+    (lambda x: math.nan if 0.2 < x < 0.4 else 0.3 - x, 0.0, 1.0),
+    (lambda x: 0.25 - x if x != 0.5 else math.nan, 0.0, 1.0),
+    (lambda x: math.nan, 0.0, 1.0),
+    (lambda x: 1e308 * (0.3 - x) * 1e10, 0.0, 1.0),
+    (lambda x: -math.inf if x > 1e-300 else 1.0, 0.0, 1e308),
+    (lambda x: 1.0, 1e300, 1e307),
+])
+def test_edge_cases_match_the_reference(f, lo, hi):
+    want = reference_crossing(f, lo, hi)
+    # alone, and beside searches that end in the first and second rounds
+    for cases in [[(f, lo, hi)], [(lambda x: -1.0, 0.0, 1.0), (lambda x: 1.0 - x, 0.0, 1.0), (f, lo, hi)]]:
+        got = lockstep(cases)[-1]
+        assert_same_outcome(got, want)
+        if f(lo) > 0.0 and f(TINY) == 0.0:
+            assert got == TINY
+
+
+def test_the_clamp_compares_as_the_builtins_do():
+    nan = math.nan
+    t = [nan, 0.3, 0.3, 0.7, 0.05, nan, 0.5, -0.0]
+    lower = [0.1, nan, 0.1, 0.1, 0.1, nan, 0.1, 0.0]
+    upper = [0.9, 0.9, nan, 0.6, 0.9, nan, 0.5, 0.0]
+    got = _clamp(np.array(t), np.array(lower), np.array(upper)).tolist()
+    want = [min(max(*pair), hi) for pair, hi in zip(zip(t, lower), upper)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowauction
-from flowauction.cli import main
+from flowauction.cli import main, render
+from flowauction.oracle import uniform_closed_form_bid, uniform_metrics
 
 
 def run(capsys, *argv):
@@ -128,6 +130,23 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--alpha-grid", "0,1,7", "--format", "json")
         assert code == 0
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    def test_a_dense_uniform_grid_matches_the_closed_forms(self, capsys):
+        code, out, err = run(capsys, "sweep", "--dist", "uniform:0,1", "--alpha-grid", "0,1,10001",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert len(rows) == 10001
+        for row in rows:
+            alpha = row["alpha"]
+            assert abs(row["b_star"] - uniform_closed_form_bid(alpha)) <= 1e-9
+            want = uniform_metrics(alpha)
+            assert abs(row["p_exec"] - want.p_exec) <= 1e-9
+            assert abs(row["revenue"] - want.revenue) <= 1e-9
+            if want.effective_spread is None:  # alpha = 0: nothing executes
+                assert row["effective_spread"] is None
+            else:
+                assert abs(row["effective_spread"] - want.effective_spread) <= 1e-9
 
     def test_bad_grid_exits_2(self, capsys):
         assert run(capsys, "sweep", "--alpha-grid", "0,1,1")[0] == 2
@@ -314,6 +333,33 @@ class TestExitContract:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+
+
+class TestRender:
+    def test_the_first_non_finite_value_in_row_major_order_is_named(self):
+        # column by column, the NaN of column a would be met first
+        records = [{"a": 1.0, "b": math.inf, "c": "x"}, {"a": math.nan, "b": 2.0, "c": "y"}]
+        for fmt in ("csv", "json"):
+            with pytest.raises(FloatingPointError) as info:
+                render(records, fmt)
+            assert str(info.value) == "b is inf"
+        with pytest.raises(FloatingPointError) as info:
+            render([{"a": 1.0}], "csv", summary={"n": 3, "worst": -math.inf})
+        assert str(info.value) == "worst is -inf"
+
+    def test_fields(self):
+        records = [{"x": -0.0, "y": None, "n": np.int64(7), "z": 0.1, "dist": "beta:2,5"},
+                   {"x": 1e-13, "y": 2.0, "n": 8, "z": np.float64(-0.0), "dist": 'a"b'},
+                   {"x": 123456789.123456, "y": None, "n": True, "z": None, "dist": "nan"}]
+        assert render(records, "csv") == (
+            "x,y,n,z,dist\n"
+            '0,,7,0.1,"beta:2,5"\n'
+            '1e-13,2,8,0,"a""b"\n'
+            "123456789.123,,1,,nan\n"
+        )
+        assert render(records[:1], "csv", summary={"k": -0.0, "label": "u,v"}) == (
+            'x,y,n,z,dist\n0,,7,0.1,"beta:2,5"\n# k=0 label="u,v"\n'
+        )
 
 
 SCIPY_FREE = [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flowauction.cli import main
+from flowauction.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +46,16 @@ def test_output_matches_golden(name, argv, tmp_path):
     out = tmp_path / name
     assert main([*argv, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_successive_calls_in_one_process_reproduce_their_goldens(tmp_path):
+    # the parser is built once per process; no --dist list or other parsed
+    # value may carry over from one call to the next
+    for k, (name, argv) in enumerate([*CASES, *reversed(CASES)]):
+        out = tmp_path / f"{k}-{name}"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert _build_parser() is _build_parser()
 
 
 if __name__ == "__main__":

@@ -305,12 +305,20 @@ class TestSolveEquilibria:
     # on Beta(2, 5) at alpha 0.5 the bracket (1 - K) / 0.5 overflows for K below about -9e307
     OVERFLOWED = AuctionParams(-1e308, 0.5)
 
+    # two-law grids, law-major: Beta(5, 2) fails the gate at alpha 0.05, earlier in
+    # alpha than Beta(2, 5) does, and no strike is below the top of Uniform(0, 0.4)
+    EARLY = [(Beta(5.0, 2.0), AuctionParams(0.5, 0.05)), (Beta(5.0, 2.0), SOLVED)]
+    NARROW = [(Uniform(0.0, 0.4), AuctionParams(0.5, 0.05)), (Uniform(0.0, 0.4), SOLVED)]
+
     @pytest.mark.parametrize("grid", [[SOLVED, GATED_TOO, REFUSED, GATED], [ERODED, REFUSED, GATED],
                                       [GATED, GATED_TOO], [GATED_TOO, GATED], [SOLVED, ERODED],
                                       [SOLVED, OVERFLOWED, GATED], [GATED, OVERFLOWED],
-                                      [REFUSED, OVERFLOWED]])
+                                      [REFUSED, OVERFLOWED],
+                                      [SOLVED, GATED_TOO, *EARLY], [SOLVED, ERODED, *EARLY],
+                                      [SOLVED, GATED, *NARROW], [SOLVED, *NARROW, *EARLY]])
     def test_the_first_failing_element_raises_what_it_raises_alone(self, grid):
-        d = Beta(2.0, 5.0)
+        # an element is its params, under Beta(2, 5), or a (law, params) pair
+        laws, grid = zip(*(x if isinstance(x, tuple) else (Beta(2.0, 5.0), x) for x in grid))
 
         def outcome(call):
             try:
@@ -319,8 +327,32 @@ class TestSolveEquilibria:
                 return type(exc), str(exc)
             return None
 
-        alone = [outcome(lambda: solve_equilibrium(d, params, tol=1e-300)) for params in grid]
-        assert outcome(lambda: solve_equilibria(d, grid, tol=1e-300)) == next(filter(None, alone), None)
+        alone = [outcome(lambda: solve_equilibrium(d, params, tol=1e-300)) for d, params in zip(laws, grid)]
+        first = next(filter(None, alone), None)
+        assert outcome(lambda: solve_equilibria(laws, grid, tol=1e-300)) == first
+        if len(set(map(repr, laws))) == 1:
+            assert outcome(lambda: solve_equilibria(laws[0], grid, tol=1e-300)) == first
+
+    def test_several_laws_in_one_call_equal_each_law_solved_alone(self):
+        laws = [U01, Beta(2.0, 2.0), Beta(2.0, 5.0), Beta(5.0, 2.0), Beta(0.5, 0.5)]
+        alphas = [float(alpha) for alpha in np.linspace(0.0, 1.0, 21)]
+        # alpha = 0 erodes the bid, strike 0.8 with p = 0.5 forces a zero bid
+        mixes = [AuctionParams(strike, alpha, p, q) for alpha in alphas
+                 for strike, p, q in [(0.5, 0.0, 0.0), (0.5, 0.1, 0.1), (0.8, 0.5, 0.2)]]
+        pairs = [(d, params) for d in laws for params in mixes]  # law-major
+        sols = solve_equilibria([d for d, _ in pairs], [params for _, params in pairs])
+        assert [vars(sol) for sol in sols] == [vars(solve_equilibrium(d, params)) for d, params in pairs]
+        assert {sol.status for sol in sols} == set(SolutionStatus)
+        # laws interleaved, so that no two adjacent elements share one
+        pairs = pairs[::7] + pairs[3::7]
+        sols = solve_equilibria([d for d, _ in pairs], [params for _, params in pairs])
+        assert [vars(sol) for sol in sols] == [vars(solve_equilibrium(d, params)) for d, params in pairs]
+
+    def test_one_law_per_element_or_one_for_all(self):
+        grid = [self.SOLVED, self.ERODED]
+        assert solve_equilibria([U01, U01], grid) == solve_equilibria(U01, grid)
+        with pytest.raises(InvalidParamsError, match="one law per element"):
+            solve_equilibria([U01], grid)
 
 
 class TestAuctionParams:
