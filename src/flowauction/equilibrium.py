@@ -321,6 +321,15 @@ def solve_equilibria(
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         roots = find_crossings(utility, np.zeros(len(search)), upper[search])
+        # the threshold at the upper bracket can round to just below the support
+        # top, where a sliver of option value outweighs a tiny alpha * b: those
+        # searches run again from twice the bracket, which no rounding undoes
+        again = np.array([k for k, root in enumerate(roots) if isinstance(root, BracketError)], dtype=int)
+        if again.size:
+            retried = find_crossings(lambda i, bids: utility(again[i], bids), np.zeros(again.size),
+                                     2.0 * upper[search[again]])
+            for k, root in zip(again.tolist(), retried):
+                roots[k] = root
         unbracketed = {int(i): root for i, root in zip(search, roots) if isinstance(root, BracketError)}
         b = np.where(eroded & ~refused, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
         b[search] = [0.0 if isinstance(root, BracketError) else root for root in roots]
@@ -367,10 +376,12 @@ def solve_equilibrium(
     array search of one-element arrays, which costs about as much per round
     as a batch of a hundred, so grids are best solved in one call.  The
     initial upper bracket ``(hi - K)/(1 - alpha)`` places the execution
-    threshold at the top of the support; it is doubled geometrically if
-    needed.  The law is evaluated once more, at the root, for the residual,
-    execution probability, revenue and spread.  Two boundary regimes bypass
-    the root search:
+    threshold at the top of the support, where the utility is nonpositive;
+    where rounding leaves that threshold just below the top and a tiny
+    ``alpha * b`` leaves the utility positive, the search runs again from
+    twice the bracket.  The law is evaluated once more, at the root, for
+    the residual, execution probability, revenue and spread.  Two boundary
+    regimes bypass the root search:
 
     * ``alpha = 0`` and ``p = 0``: expected utility is nonnegative for every
       bid and reaches zero only at ``b = hi - K``, where competition has
@@ -391,7 +402,8 @@ def solve_equilibrium(
     Raises:
         InvalidParamsError: strike at or above the support top with p = 0,
             or ``tol`` not positive and finite.
-        BracketError: no sign change after the doubling budget (bug signal).
+        BracketError: the utility is positive at the upper end of the
+            searched bracket (bug signal).
         ConvergenceError: the residual at the root found exceeds ``tol``
             times the price scale (the search stops at adjacent floats, so a
             tiny ``tol`` can be out of reach), or the root or residual is not

@@ -15,12 +15,12 @@ evaluate the chunks.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._bisect import find_crossing
 from .distributions import Distribution
 from .equilibrium import AuctionParams, check_execution_right, upper_bid_bracket
 from .errors import ConvergenceError, InvalidParamsError
@@ -186,34 +186,50 @@ def simulate_auction(
     )
 
 
-def _table_utility(params: AuctionParams, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
-    """The trials' mean utility as a function of a bid >= 0, read from one sorted table.
+def _zero_profit_bid(params: AuctionParams, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray) -> float:
+    """The bid at which the trials' mean utility crosses zero, or 0 when it is not positive at bid 0.
 
     At bid ``b`` a trial that executes gains ``x - c`` with ``c = (1-alpha)*b``:
     a forced trial always, a voluntary one iff ``x > c``, which at ``c >= 0``
     only a trial with ``x > 0`` can meet.  With ``xv`` those trials' ``x``
-    sorted and ``k`` the number above ``c``, the gains total
-    ``sum(x_forced) + sum(xv[-k:]) - (n_forced + k)*c``: one binary search
-    and one slice sum per bid.  That is the mean of :func:`_settle`'s gains
-    up to rounding, ties ``x == c`` not executing in either.  Raises
-    :class:`ConvergenceError` when a sum of gains overflows.
+    sorted, the mean utility is continuous, nonincreasing and linear between
+    the breakpoints ``c = xv[j]``; while the trials ``xv[j:]`` execute it is
+    ``(sum(x_forced) + sum(xv[j:]) - (n_forced + k)*c)/n - alpha*b`` with
+    ``k = len(xv) - j``.  A binary search over ``j`` finds the first
+    breakpoint where it is nonpositive, and the root on the segment below it
+    is that line's zero.  At ``alpha = 1``, ``c`` is 0 at every bid and the
+    utility is one line.  Ties ``x == c`` do not execute, as in
+    :func:`_settle`.  Raises :class:`ConvergenceError` when a sum of gains
+    overflows.
     """
     n = len(x)
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
         sum_forced = float(x[forced].sum())
     n_forced = int(forced.sum())
     xv = np.sort(x[voluntary & (x > 0.0)])
+    m, alpha, contingent = len(xv), params.alpha, 1.0 - params.alpha
 
-    def utility(bid: float) -> float:
-        c = (1.0 - params.alpha) * bid
-        j = int(np.searchsorted(xv, c, side="right"))
+    def gains(j: int) -> float:
+        """The executed trials' ``x`` summed, when the trials ``xv[j:]`` execute."""
         with np.errstate(over="ignore"):
-            gains = sum_forced + float(xv[j:].sum())
-        if not math.isfinite(gains):
-            raise ConvergenceError(f"the trial gains at bid {bid!r} sum to {gains}, beyond the float range")
-        return (gains - (n_forced + len(xv) - j) * c) / n - params.alpha * bid
+            total = sum_forced + float(xv[j:].sum())
+        if not math.isfinite(total):
+            raise ConvergenceError(f"the trial gains sum to {total}, beyond the float range")
+        return total
 
-    return utility
+    def crossed(j: int) -> bool:
+        """Whether the utility is nonpositive at the bid whose contingent part is ``xv[j]``."""
+        c = float(xv[j])
+        return (gains(j) - (n_forced + m - j) * c) / n - alpha * (c / contingent) <= 0.0
+
+    if gains(0) / n <= 0.0:
+        return 0.0
+    if contingent == 0.0:  # at alpha = 1 every trial with x > 0 executes at every bid
+        return gains(0) / n
+    j = bisect.bisect_left(range(m), True, key=crossed)
+    bid = gains(j) / ((n_forced + m - j) * contingent + n * alpha)
+    # rounding must not carry the root past the breakpoint where the utility is already nonpositive
+    return min(bid, float(xv[j]) / contingent) if j < m else bid
 
 
 def calibrate_zero_profit_bid(
@@ -224,19 +240,16 @@ def calibrate_zero_profit_bid(
 ) -> float:
     """Locate the zero-profit bid empirically.
 
-    One batch of common random numbers (branch uniforms and price draws) is
-    generated up front and reused for every bid evaluated, which makes the
-    empirical expected utility a deterministic, nonincreasing, piecewise
-    linear function of the bid.  It is read from one table built after the
-    draws: the forced trials' gain sum and count, and the sorted gains of
-    the voluntary trials that execute at some bid >= 0 (see
-    :func:`_table_utility`).  After that one sort each evaluation costs a
-    binary search and one slice sum, and the bracketed search of
-    :func:`find_crossing` finds the zero crossing in about 10 of them; it
-    returns 0 when the utility at b = 0 is already nonpositive.  Requires
+    One batch of ``n_per_eval`` seeded trials (branch uniforms and price
+    draws) is generated and reused for every bid, which makes the empirical
+    expected utility a deterministic, nonincreasing, piecewise linear
+    function of the bid.  Its zero crossing is found exactly, from the
+    forced trials' gain sum and count and the sorted gains of the voluntary
+    trials that execute at some bid >= 0 (see :func:`_zero_profit_bid`); it
+    is 0 when the utility at b = 0 is already nonpositive.  Requires
     ``alpha > 0`` or ``p > 0`` so that the crossing is strict.  Raises
-    :class:`ConvergenceError` when the initial bracket or a sum of trial
-    gains overflows.
+    :class:`ConvergenceError` when the upper bid bracket (see
+    :func:`upper_bid_bracket`) or a sum of trial gains overflows.
     """
     if params.alpha == 0.0 and params.p == 0.0:
         raise InvalidParamsError(
@@ -245,7 +258,5 @@ def calibrate_zero_profit_bid(
         )
     _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
     check_execution_right(d, params)
-    upper = upper_bid_bracket(d, params)
-
-    trials = _trials(d, params, np.random.SeedSequence(seed), n_per_eval)
-    return find_crossing(_table_utility(params, *trials), 0.0, upper)
+    upper_bid_bracket(d, params)  # no float bid reaching the support top: refused as the solver refuses it
+    return _zero_profit_bid(params, *_trials(d, params, np.random.SeedSequence(seed), n_per_eval))

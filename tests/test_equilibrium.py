@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowauction import (
     AuctionParams,
@@ -21,9 +22,9 @@ from flowauction import (
     solve_equilibrium,
     uniform_closed_form_bid,
 )
-from flowauction._bisect import find_crossing
 from flowauction.cli import main
 from flowauction.equilibrium import solution_at, upper_bid_bracket
+from test_bisect import find_crossing
 
 U01 = Uniform(0.0, 1.0)
 
@@ -353,6 +354,47 @@ class TestSolveEquilibria:
         assert solve_equilibria([U01, U01], grid) == solve_equilibria(U01, grid)
         with pytest.raises(InvalidParamsError, match="one law per element"):
             solve_equilibria([U01], grid)
+
+
+@st.composite
+def auctions(draw):
+    """A law and auction parameters with the strike below the support top."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e3, 1e3))
+        d = Uniform(lo, lo + draw(st.floats(1e-3, 1e3)))
+    else:
+        d = Beta(draw(st.floats(0.2, 50.0)), draw(st.floats(0.2, 50.0)))
+    lo, hi = d.support.lo, d.support.hi
+    strike = draw(st.floats(lo - (hi - lo), hi, exclude_max=True) | st.just(math.nextafter(hi, -math.inf)))
+    alpha = draw(st.sampled_from([5e-324, 1e-300, 1.0 - 2.0**-53, 1.0]) | st.floats(0.0, 1.0))
+    p = draw(st.floats(0.0, 1.0))
+    q = draw(st.floats(0.0, 1.0 - p))
+    return d, AuctionParams(strike, alpha, p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases=st.lists(auctions(), min_size=1, max_size=8))
+def test_every_search_brackets_its_crossing(cases):
+    # find_crossings never widens a bracket, so the utility must be nonpositive
+    # at the upper end of each bracket the solver searches
+    for d, params in cases:
+        upper = upper_bid_bracket(d, params)
+        if expected_utility(d, params, upper) > 0.0:
+            # the threshold rounds below the support top; the solver searches again from 2 * upper
+            assert params.strike + (1.0 - params.alpha) * upper < d.support.hi
+            assert expected_utility(d, params, 2.0 * upper) <= 0.0
+    solve_equilibria([d for d, _ in cases], [params for _, params in cases])  # no BracketError
+
+
+def test_a_threshold_rounded_below_the_top_is_searched_from_twice_the_bracket():
+    d, params = Uniform(-40.49519244342981, 42.018311888024805), AuctionParams(-27.302838737813303, 1e-20)
+    upper = upper_bid_bracket(d, params)
+    assert params.strike + (1.0 - params.alpha) * upper < d.support.hi
+    assert expected_utility(d, params, upper) > 0.0
+    # the crossing lies between upper and the next float
+    sol = solve_equilibrium(d, params)
+    assert sol.b_star.hex() == "0x1.1548dbb5ac422p+6" and sol.status == SolutionStatus.INTERIOR_ROOT
+    assert expected_utility(d, params, math.nextafter(upper, math.inf)) <= 0.0
 
 
 class TestAuctionParams:

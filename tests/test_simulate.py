@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowauction import (
     AuctionParams,
@@ -20,7 +20,7 @@ from flowauction import (
     simulate_auction,
     solve_equilibrium,
 )
-from flowauction.simulate import _settle, _table_utility, _trials
+from flowauction.simulate import _settle, _trials, _zero_profit_bid
 
 U01 = Uniform(0.0, 1.0)
 
@@ -217,6 +217,9 @@ def trial_batches(draw):
     params = AuctionParams(strike, alpha, p, q)
     x, forced, voluntary = _trials(d, params, np.random.SeedSequence(draw(st.integers(0, 2**64 - 1))),
                                    draw(st.integers(2, 64)))
+    # the batch repeated, so that trials tie with each other
+    repeats = draw(st.integers(1, 3))
+    x, forced, voluntary = (np.tile(v, repeats) for v in (x, forced, voluntary))
     c = 1.0 - alpha
     span = 2.0 * (hi - lo) / max(c, 1e-3)
     bids = [u * span for u in draw(st.lists(st.floats(0.0, 1.0), max_size=8))]
@@ -230,13 +233,32 @@ def trial_batches(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(batch=trial_batches())
-def test_the_sorted_table_equals_the_direct_mean(batch):
+# three equal gains summed and divided by three round above the top breakpoint,
+# where with alpha near 0 no trial executes and the utility is -alpha * b
+@example(batch=(AuctionParams(0.0, 1e-80), np.array([0.5, 0.9355867217045211] * 3), np.zeros(6, bool),
+                np.ones(6, bool), []))
+def test_the_exact_root_is_a_crossing_of_the_direct_mean(batch):
     params, x, forced, voluntary, bids = batch
-    utility = _table_utility(params, x, forced, voluntary)
     c = 1.0 - params.alpha
-    for bid in bids:
+
+    def utility_and_bound(bid):
+        """``_settle``'s mean utility at ``bid``, and the rounding allowed in it."""
         executed, gain = _settle(params, bid, x, forced, voluntary)
-        direct = float(gain.mean()) - params.alpha * bid
-        # both sum the same executed gains x - c*bid, in different orders and groupings
-        scale = (np.abs(x[executed]).sum() + executed.sum() * c * bid) / len(x) + params.alpha * bid
-        assert abs(utility(bid) - direct) <= 16 * sys.float_info.epsilon * scale
+        # the root sums the same executed gains x - c*bid, in other orders and groupings
+        scale = (np.abs(x[executed]).sum() + executed.sum() * c * abs(bid)) / len(x) + params.alpha * abs(bid)
+        return float(gain.mean()) - params.alpha * bid, 16 * sys.float_info.epsilon * scale
+
+    root = _zero_profit_bid(params, x, forced, voluntary)
+    assert root >= 0.0 and math.isfinite(root)
+    above = [math.nextafter(root, math.inf)] + [bid for bid in bids if bid > root]
+    below = [bid for bid in bids if bid < root]
+    if root > 0.0:
+        below.append(math.nextafter(root, -math.inf))
+    else:  # the utility at 0 is already nonpositive
+        above.append(0.0)
+    for bid in above:
+        utility, tol = utility_and_bound(bid)
+        assert utility <= tol
+    for bid in below:
+        utility, tol = utility_and_bound(bid)
+        assert utility >= -tol
