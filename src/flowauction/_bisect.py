@@ -3,10 +3,10 @@ Chandrupatla's (1997) inverse-quadratic / bisection hybrid with a bisection
 safeguard in the spirit of ITP (Oliveira and Takahashi 2020).
 
 The search is written once, as array arithmetic: :func:`find_crossings`
-keeps the state of every search in arrays and takes one step of each
-running search per round, evaluating ``f`` once per round on all their
-points.  Each element takes exactly the float steps it would take alone, so
-a result never depends on the batch.
+keeps the state of every search, and its callers' columns, in arrays and
+takes one step of each running search per round, evaluating ``f`` once per
+round on their points and rows.  Each element takes exactly the float steps
+it would take alone, so a result never depends on the batch.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import sys
 from collections.abc import Callable, Sequence
 
 import numpy as np
-
-from .errors import BracketError
 
 # an interpolated point lies at least this many units of |a| (a: the newest
 # point) inside the bracket, so a root approached from one side is overstepped
@@ -33,43 +31,47 @@ def _clamp(t: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def find_crossings(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]
-) -> list[float | BracketError]:
+    f: Callable[..., np.ndarray], lo: Sequence[float], hi: Sequence[float], *columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Where each of many nonincreasing functions crosses from positive to
     nonpositive, one search per element of ``lo`` and ``hi``, run in lockstep.
 
-    Each round calls ``f(indices, points)`` once, with the indices of the
-    searches still running, in increasing order, and the point each asks
-    for, as ndarrays; it returns ``f`` of each search at its point.
+    Each round calls ``f(points, *rows)`` once: ``points`` holds the point
+    each search still running asks for, and ``rows`` the rows of each of
+    ``columns`` (arrays as long as ``lo``) at those searches, in element
+    order; it returns ``f`` of each search at its point.  The rows are
+    compacted with the search state only in rounds where a search ends.
 
     A search asks for ``f(lo)`` first; when it is not positive, ``lo`` is
-    the result.  It then asks for ``f(hi)``; when that is positive the
-    bracket holds no crossing and the result is a :class:`BracketError`.
-    The bracket, which always holds ``f > 0`` at one end and ``f <= 0`` at
-    the other, is then narrowed by inverse quadratic interpolation through
-    the last three points where Chandrupatla's test says the interpolant is
-    monotone, and by bisection otherwise; a bisection is forced whenever the
-    bracket has not halved within two steps, so at most three steps go to
-    each halving.  The search stops when ``f`` is exactly 0 at a point
-    tried, which is then the result, or the bracket is two adjacent floats;
-    then the midpoint, rounded to one of them, is.
+    the root.  It then asks for ``f(hi)``; when that is positive the
+    bracket holds no crossing and is not widened.  The bracket, which always
+    holds ``f > 0`` at one end and ``f <= 0`` at the other, is then narrowed
+    by inverse quadratic interpolation through the last three points where
+    Chandrupatla's test says the interpolant is monotone, and by bisection
+    otherwise; a bisection is forced whenever the bracket has not halved
+    within two steps, so at most three steps go to each halving.  The
+    search stops when ``f`` is exactly 0 at a point tried, which is then the
+    root, or the bracket is two adjacent floats; then the midpoint, rounded
+    to one of them, is.
+
+    Returns ``(roots, bracketed)``, a float64 and a bool array: where
+    ``f(hi) > 0``, ``bracketed`` is False and the root NaN.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    roots, bracketed = lo.copy(), np.ones(lo.size, dtype=bool)
     if not lo.size:
-        return []
-    found = lo.copy()
-    errors: dict[int, BracketError] = {}
-    idx = np.arange(lo.size)
+        return roots, bracketed
+    rows = [np.arange(lo.size), *columns]  # rows[0]: the element of each running search
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
-        f_lo = np.asarray(f(idx, lo), dtype=float)  # the first round asks every search for f(lo)
-        keep = ~(f_lo <= 0.0)  # f(lo) <= 0: lo is the crossing
-        idx, lo, hi, f_lo = idx[keep], lo[keep], hi[keep], f_lo[keep]
-        f_hi = np.asarray(f(idx, hi), dtype=float) if idx.size else hi  # the second round, for f(hi)
-        keep = ~(f_hi > 0.0)  # f(hi) > 0: the bracket holds no crossing, and is not widened
+        f_lo = np.asarray(f(lo, *rows[1:]), dtype=float)  # the first round asks every search for f(lo)
+        keep = ~(f_lo <= 0.0)  # f(lo) <= 0: lo is the root
         if not keep.all():
-            for i, top in zip(idx[~keep].tolist(), hi[~keep].tolist()):
-                errors[i] = BracketError(f"no sign change up to {top}; f is positive at both ends")
-            idx, lo, hi, f_lo, f_hi = idx[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep]
+            rows, lo, hi, f_lo = [r[keep] for r in rows], lo[keep], hi[keep], f_lo[keep]
+        f_hi = np.asarray(f(hi, *rows[1:]), dtype=float) if hi.size else hi  # the second round, for f(hi)
+        keep = ~(f_hi > 0.0)  # f(hi) > 0: the bracket holds no crossing
+        if not keep.all():
+            roots[rows[0][~keep]], bracketed[rows[0][~keep]] = np.nan, False
+            rows, lo, hi, f_lo, f_hi = [r[keep] for r in rows], lo[keep], hi[keep], f_lo[keep], f_hi[keep]
         # the state of the running searches.  a: the newest point, b: the other
         # bracket end, c: the end last dropped, each with f there; t: the step from
         # a toward b; w2, w1: the bracket widths two steps and one step back
@@ -77,22 +79,22 @@ def find_crossings(
         t, w2, w1 = np.full_like(lo, 0.5), np.full_like(lo, np.inf), hi - lo
         while True:
             mid = 0.5 * (lo + hi)
-            collapsed = (mid == lo) | (mid == hi)  # two adjacent floats: the midpoint is the crossing
+            collapsed = (mid == lo) | (mid == hi)  # two adjacent floats: the midpoint is the root
             returned = fa == 0.0  # the point tried last is an exact zero
             ended = returned | collapsed
             if ended.any():
-                found[idx[collapsed]] = mid[collapsed]
-                found[idx[returned]] = a[returned]  # an exact zero wins over a collapsed bracket
+                roots[rows[0][collapsed]] = mid[collapsed]
+                roots[rows[0][returned]] = a[returned]  # an exact zero wins over a collapsed bracket
                 # compacted as one stacked array: stacking it every round would cost more
                 keep = ~ended
-                idx = idx[keep]
+                rows = [r[keep] for r in rows]
                 lo, hi, a, fa, b, fb, c, fc, t, w2, w1, mid = np.array(
                     [lo, hi, a, fa, b, fb, c, fc, t, w2, w1, mid])[:, keep]
-            if not idx.size:
+            if not lo.size:
                 break
             x = a + t * (b - a)
             x = np.where((t != 0.5) & (lo < x) & (x < hi), x, mid)
-            fx = np.asarray(f(idx, x), dtype=float)
+            fx = np.asarray(f(x, *rows[1:]), dtype=float)
 
             positive = fx > 0.0
             same = positive == (fa > 0.0)
@@ -110,7 +112,4 @@ def find_crossings(
                            & (rest * rest < 1.0 - xi) & (tl < 0.5))
             t = np.where(interpolate, _clamp(t, tl, 1.0 - tl), 0.5)
             w2, w1 = w1, width
-    results: list[float | BracketError] = found.tolist()
-    for i, exc in errors.items():
-        results[i] = exc
-    return results
+    return roots, bracketed

@@ -277,7 +277,7 @@ def _solution_records(cfg, alphas) -> list[dict]:
     rows = zip(alphas * len(cfg.dists), map(vars, sols))
     if not (cfg.figure2 or len(cfg.dists) > 1):
         return [{"alpha": alpha, **fields} for alpha, fields in rows]
-    labels = [str(spec) for spec in cfg.dists for _ in grid]
+    labels = [label for label in map(str, cfg.dists) for _ in grid]
     return [{"dist": label, "alpha": alpha, **fields} for label, (alpha, fields) in zip(labels, rows)]
 
 

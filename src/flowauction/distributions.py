@@ -79,13 +79,18 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, list[float]]:
     """The 16-point rule's ``∫ f`` and ``∫ x f`` over ``[a, b]``, and ``f`` at its
-    nodes, which never round outside ``[a, b]``."""
+    nodes, which never round outside ``[a, b]``: one that rounds onto an end,
+    where a density may vanish or be infinite, moves to the nearest float
+    inside if there is one.  Rounding is monotone, so the lowest node is the
+    first to reach ``a`` and the highest ``b``."""
     offsets, weights = _gauss_legendre()
     half = 0.5 * (b - a)
+    xs = [a + half * offset for offset in offsets]
+    if (xs[0] == a or xs[-1] == b) and math.nextafter(a, b) < b:
+        xs = [math.nextafter(a, b) if x == a else math.nextafter(b, a) if x == b else x for x in xs]
     mass = moment = 0.0
     fs = []
-    for offset, weight in zip(offsets, weights):
-        x = a + half * offset
+    for x, weight in zip(xs, weights):
         fs.append(f(x))
         y = weight * fs[-1]
         mass += y
@@ -418,7 +423,7 @@ class QuadratureDistribution(Distribution):
         u = np.asarray(rng.random(size))
         flat, lo, hi = u.reshape(-1), self._support.lo, self._support.hi
         # u < 1 = cdf(hi), so every search brackets its crossing at once
-        x = np.array(find_crossings(lambda i, x: flat[i] - self.cdf(x), [lo] * u.size, [hi] * u.size))
+        x, _ = find_crossings(lambda x, u: u - self.cdf(x), [lo] * u.size, [hi] * u.size, flat)
         return float(x[0]) if size is None else x.reshape(u.shape)
 
 

@@ -130,10 +130,6 @@ class _Batch(NamedTuple):
         return cls(strike, alpha, p, q, 1.0 - alpha, 1.0 - p - q, np.asarray(means, dtype=float),
                    bool((p > 0.0).any()))
 
-    def at(self, i) -> "_Batch":
-        """The elements at indices ``i``."""
-        return _Batch(*(column[i] for column in self[:-1]), self.forced)
-
 
 class _Laws:
     """The law of each element of a batch, held as runs of adjacent elements
@@ -183,10 +179,7 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     execution contributes ``mean - K - (1 - alpha) * b`` irrespective of
     profitability.
     """
-    batch = _Batch.of([params], [d.mean()])
-    with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
-        t = _threshold(batch, b)
-        return float(_utility(batch, b, t, d.cdf(t), d.partial_expectation(t))[0])
+    return solution_at(d, params, b, None).residual
 
 
 def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
@@ -270,8 +263,8 @@ def solution_at(
     """The record of bid ``b``: threshold, p_exec, spread, revenue and utility.
 
     The law is read once, at the threshold, for all of them; ``residual`` is
-    the winner's expected utility at ``b`` and equals :func:`expected_utility`
-    exactly.  ``status`` says how ``b`` was found: None for a bid that was
+    the winner's expected utility at ``b``, which :func:`expected_utility`
+    returns.  ``status`` says how ``b`` was found: None for a bid that was
     given rather than solved.
     """
     batch = _Batch.of([params], [d.mean()])
@@ -284,16 +277,19 @@ def solve_equilibria(
     """:func:`solve_equilibrium` for each element of ``params_seq``, in one lockstep search.
 
     ``d`` is one law for every element, or a sequence with one law per
-    element.  Each round of :func:`find_crossings` reads each law once, on
-    the bids of its searches still running (a run of adjacent elements that
-    share a law is one slice, so law-major order reads every law once), and
-    each element takes exactly the float steps a search of its own would, so
-    element ``i`` of the result equals ``solve_equilibrium(d_i,
-    params_seq[i], tol)``.  The execution-right check, the upper bracket, the
-    boundary regimes and the residual gate are array arithmetic over all
-    elements; Python runs per element only to build the records and the
-    message of a failure.  When elements fail, the error raised is the first
-    failing element's, as a loop over ``params_seq`` would raise it.
+    element.  The searched elements' indices and batch fields are passed to
+    :func:`find_crossings` as columns, so each round receives the rows of the
+    searches still running and reads each law once, on their bids (a run of
+    adjacent elements that share a law is one slice, so law-major order
+    reads every law once); each element takes exactly the float steps a
+    search of its own would, so element ``i`` of the result equals
+    ``solve_equilibrium(d_i, params_seq[i], tol)``.  The execution-right
+    check, the upper bracket, the boundary regimes and the residual gate are
+    array arithmetic over all elements, and each outcome is a mask: refused,
+    unbracketed (also from twice the bracket) or gated by the residual.
+    Python runs per element only to build the records and the message of a
+    failure.  When elements fail, the error raised is the first failing
+    element's, as a loop over ``params_seq`` would raise it.
     ``sweep --figure2`` solves its 4 laws × 101 alphas in one such call.
     """
     params_seq = list(params_seq)
@@ -311,42 +307,41 @@ def solve_equilibria(
     refused = _worthless(batch.strike, hi, batch.p) | ~np.isfinite(upper)
     eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
     solved = ~(eroded | refused)
-    search = np.flatnonzero(solved)
-    searched = batch if len(search) == len(params_seq) else batch.at(search)
 
-    def utility(i: np.ndarray, bids: np.ndarray) -> np.ndarray:
-        at = searched if len(i) == len(search) else searched.at(i)
+    def utility(bids: np.ndarray, i: np.ndarray, *fields: np.ndarray) -> np.ndarray:
+        at = _Batch(*fields, batch.forced)
         t = _threshold(at, bids)
-        return _utility(at, bids, t, *laws.read(search[i], t))
+        return _utility(at, bids, t, *laws.read(i, t))
+
+    def crossings(i: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the element index, for the laws, and the batch fields ride along as columns
+        return find_crossings(utility, np.zeros(i.size), top, i, *(column[i] for column in batch[:-1]))
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
-        roots = find_crossings(utility, np.zeros(len(search)), upper[search])
-        # the threshold at the upper bracket can round to just below the support
-        # top, where a sliver of option value outweighs a tiny alpha * b: those
-        # searches run again from twice the bracket, which no rounding undoes
-        again = np.array([k for k, root in enumerate(roots) if isinstance(root, BracketError)], dtype=int)
-        if again.size:
-            retried = find_crossings(lambda i, bids: utility(again[i], bids), np.zeros(again.size),
-                                     2.0 * upper[search[again]])
-            for k, root in zip(again.tolist(), retried):
-                roots[k] = root
-        unbracketed = {int(i): root for i, root in zip(search, roots) if isinstance(root, BracketError)}
         b = np.where(eroded & ~refused, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
-        b[search] = [0.0 if isinstance(root, BracketError) else root for root in roots]
+        unbracketed = np.zeros(len(params_seq), dtype=bool)
+        search = np.flatnonzero(solved)
+        b[search], bracketed = crossings(search, upper[search])
+        if not bracketed.all():
+            # the threshold at the upper bracket can round to just below the support
+            # top, where a sliver of option value outweighs a tiny alpha * b: those
+            # searches run again from twice the bracket, which no rounding undoes
+            again = search[~bracketed]
+            b[again], bracketed = crossings(again, 2.0 * upper[again])
+            unbracketed[again] = ~bracketed
 
         columns = _record_columns(laws, batch, b)
         residual = columns[-1]
-        solved[list(unbracketed)] = False
         # the search stops at once where utility at b = 0 is already nonpositive
         zero_bid = solved & (b == 0.0) & (residual <= 0.0)
         m = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), np.abs(batch.strike))
         scale = m * np.maximum(1.0, m / (hi - lo))
         gated = solved & ~zero_bid & ~(np.isfinite(b) & (np.abs(residual) <= tol * scale))  # NaN fails too
-    failing = [*np.flatnonzero(refused | gated).tolist(), *unbracketed]
-    if failing:
-        i = min(failing)
-        if i in unbracketed:
-            raise unbracketed[i]
+    failing = refused | gated | unbracketed
+    if failing.any():
+        i = int(np.argmax(failing))
+        if unbracketed[i]:
+            raise BracketError(f"no sign change up to {2.0 * float(upper[i])}; f is positive at both ends")
         # a refused element raises from the checks that refused it, with their messages
         check_execution_right(each[i], params_seq[i])
         upper_bid_bracket(each[i], params_seq[i])

@@ -3,6 +3,7 @@ through :func:`find_crossing`, its one-search form, and against a scalar
 statement of its step."""
 
 import bisect
+import contextlib
 import math
 import sys
 
@@ -14,14 +15,18 @@ from flowauction._bisect import _clamp, find_crossings
 from flowauction.errors import BracketError
 
 
+def no_crossing(hi):
+    return BracketError(f"no sign change up to {hi}; f is positive at both ends")
+
+
 def find_crossing(f, lo, hi):
     """The crossing of a nonincreasing ``f`` from positive to nonpositive, searched
-    from ``[lo, hi]`` as ``find_crossings`` describes; raises its :class:`BracketError`
-    when ``f(hi)`` is positive too."""
-    [root] = find_crossings(lambda i, x: np.array([f(float(x[0]))]), [lo], [hi])
-    if isinstance(root, BracketError):
-        raise root
-    return root
+    from ``[lo, hi]`` as ``find_crossings`` describes; raises a :class:`BracketError`
+    where its ``bracketed`` mask says ``f(hi)`` is positive too."""
+    (root,), (bracketed,) = find_crossings(lambda x: np.array([f(float(x[0]))]), [lo], [hi])
+    if not bracketed:
+        raise no_crossing(hi)
+    return float(root)
 
 
 def plain_bisection_evals(f, lo, hi):
@@ -139,11 +144,17 @@ def test_nonpositive_at_lo_returns_lo_after_one_evaluation(f_lo):
 
 
 def lockstep(cases):
-    """``find_crossings`` over ``(f, lo, hi)`` cases, each ``f`` called on its own points."""
-    def f(indices, points):
-        return np.array([cases[i][0](x) for i, x in zip(indices.tolist(), points.tolist())])
+    """``find_crossings`` over ``(f, lo, hi)`` cases, each ``f`` passed as a column and
+    called on its own points: each case's root, or a :class:`BracketError` where the
+    ``bracketed`` mask is False."""
+    def f(points, fs):
+        return np.array([g(x) for g, x in zip(fs, points.tolist())])
 
-    return find_crossings(f, [lo for _, lo, _ in cases], [hi for _, _, hi in cases])
+    his = [hi for _, _, hi in cases]
+    roots, bracketed = find_crossings(f, [lo for _, lo, _ in cases], his,
+                                      np.array([g for g, _, _ in cases], dtype=object))
+    assert roots.dtype == float and bracketed.dtype == bool and np.isnan(roots[~bracketed]).all()
+    return [root if ok else no_crossing(hi) for root, ok, hi in zip(roots.tolist(), bracketed.tolist(), his)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,18 +174,36 @@ def test_lockstep_equals_each_search_alone(cases, data):
 
 
 def test_lockstep_calls_f_once_per_round_on_the_running_searches():
-    sizes = []
+    # searches that end after 1 evaluation (f(lo) <= 0), after 2 (no crossing)
+    # and at different rounds of the narrowing
+    shifts = np.array([0.3, -1.0, 0.6, 2.0, 0.45, 0.7])
+    labels = np.array([10, 11, 12, 13, 14, 15])
+    evals = []
+    for shift in shifts.tolist():
+        g = counted(lambda x, shift=shift: shift - x)
+        with contextlib.suppress(BracketError):
+            find_crossing(g, 0.0, 1.0)
+        evals.append(g.calls)
+    received = []
 
-    def f(indices, points):
-        sizes.append(len(indices))
-        assert indices.tolist() == sorted(indices.tolist()) and len(points) == len(indices)
-        return 0.3 + 0.1 * indices - points
+    def f(points, shift, label):
+        received.append((shift.tolist(), label.tolist()))
+        assert len(points) == len(shift) and label.dtype == labels.dtype
+        return shift - points
 
-    roots = find_crossings(f, [0.0] * 4, [1.0] * 4)
-    assert roots == [find_crossing(lambda x, i=i: 0.3 + 0.1 * i - x, 0.0, 1.0) for i in range(4)]
-    assert sizes[0] == 4 and sizes == sorted(sizes, reverse=True)
-    rounds = len(sizes)
-    assert find_crossings(f, [], []) == [] and len(sizes) == rounds
+    roots, bracketed = find_crossings(f, [0.0] * 6, [1.0] * 6, shifts, labels)
+    assert bracketed.tolist() == [True, True, True, False, True, True]
+    for k, (root, shift) in enumerate(zip(roots.tolist(), shifts.tolist())):
+        if bracketed[k]:
+            assert root == find_crossing(lambda x: shift - x, 0.0, 1.0)
+    # in each round, f receives the rows of exactly the searches still running, in order
+    assert len(received) == max(evals)
+    for r, (shift_rows, label_rows) in enumerate(received):
+        running = [k for k in range(6) if evals[k] > r]
+        assert shift_rows == shifts[running].tolist() and label_rows == labels[running].tolist()
+    assert len({len(rows) for rows, _ in received}) > 2  # searches did end in several rounds
+    roots, bracketed = find_crossings(f, [], [], shifts[:0], labels[:0])
+    assert roots.size == bracketed.size == 0 and len(received) == max(evals)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,8 @@ EPS = sys.float_info.epsilon
 @example(shapes=(20.0, 20.0), lo=-1e6, log_width=6.0, u=0.5, alpha=0.25)
 @example(shapes=(2.0, 5.0), lo=1e9, log_width=-6.0, u=0.5, alpha=0.5)
 @example(shapes=None, lo=1e9, log_width=-6.0, u=0.3, alpha=0.5)
+# on the 84-ulp span [lo, lo + 0.05 w] the lowest node rounds onto lo, where the density is 0
+@example(shapes=(1.0000000000000002, 1.0), lo=268435456.0, log_width=-4.0, u=0.0, alpha=0.0)
 def test_quadrature_law_matches_closed_forms_on_any_support(shapes, lo, log_width, u, alpha):
     # a law on [0, 1] moved onto [lo, lo + w]: S = lo + w U
     tol = 1e-12
@@ -354,6 +356,15 @@ def test_quadrature_law_matches_closed_forms_on_any_support(shapes, lo, log_widt
     want = w * solve_equilibrium(base, AuctionParams((strike - lo) / w, alpha)).b_star
     slope = alpha + (1.0 - alpha) * (1.0 - base.cdf((strike - lo) / w + (1.0 - alpha) * want / w))
     assert abs(got - want) * slope <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("k", [2, 4, 64])
+def test_a_node_rounded_onto_an_infinite_end_moves_inside(k):
+    # Beta(0.5, 1) on [1, 2]: the density is infinite at 1 and the cdf is
+    # sqrt(x - 1); on a span of k floats above 1 the lowest nodes round onto 1
+    law = Beta(0.5, 1.0)
+    d = QuadratureDistribution(lambda x: law.pdf(x - 1.0), SupportInterval(1.0, 2.0), tol=1e-8)
+    assert d.cdf(1.0 + k * 2.0**-52) == pytest.approx(math.sqrt(k * 2.0**-52), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flowauction import (
     AuctionParams,
     Beta,
+    BracketError,
     ConvergenceError,
     InvalidParamsError,
     QuadratureDistribution,
@@ -395,6 +396,26 @@ def test_a_threshold_rounded_below_the_top_is_searched_from_twice_the_bracket():
     sol = solve_equilibrium(d, params)
     assert sol.b_star.hex() == "0x1.1548dbb5ac422p+6" and sol.status == SolutionStatus.INTERIOR_ROOT
     assert expected_utility(d, params, math.nextafter(upper, math.inf)) <= 0.0
+
+
+class Limitless(Uniform):
+    """A uniform law whose upper partial expectation is 1e300 at every threshold,
+    so the winner's utility is positive at every bid."""
+
+    def partial_expectation(self, t):
+        return np.full(np.shape(t), 1e300)
+
+
+def test_a_utility_positive_at_twice_the_bracket_is_a_bracket_error():
+    d, params = Limitless(0.0, 1.0), AuctionParams(0.5, 0.5)  # the upper bracket is 1.0
+    message = r"^no sign change up to 2\.0; f is positive at both ends$"
+    with pytest.raises(BracketError, match=message):
+        solve_equilibrium(d, params)
+    # the first failing element raises, whatever the others do
+    with pytest.raises(BracketError, match=message):
+        solve_equilibria([U01, d, U01], [params, params, AuctionParams(2.0, 0.5)])
+    with pytest.raises(InvalidParamsError, match="worthless"):
+        solve_equilibria([U01, d], [AuctionParams(2.0, 0.5), params])
 
 
 class TestAuctionParams:
