@@ -28,6 +28,9 @@ CASES = [
     *both_formats("sweep-uniform-beta", "sweep", "--dist", "uniform:0,1", "--dist", "beta:2,2",
                   "--alpha-grid", "0,1,11"),
     *both_formats("sweep-beta", "sweep", "--dist", "beta:0.5,0.5", "--alpha-grid", "0,1,11"),
+    # uniform rows are interior roots; forced execution makes every Beta row a zero bid
+    *both_formats("sweep-forced", "sweep", "--dist", "uniform:0,1", "--dist", "beta:2,5",
+                  "--strike", "0.6", "--p", "0.3", "--q", "0.1", "--alpha-grid", "0,1,5"),
     ("sweep-figure2.csv", ("sweep", "--figure2")),
     ("sweep-figure2-11.json", ("sweep", "--figure2", "--alpha-grid", "0,1,11", "--format", "json")),
     *both_formats("simulate-uniform", "simulate", "--alpha", "0.25", "--n", "200000", "--seed", "42"),
