@@ -13,9 +13,10 @@ Subcommands::
 Carlo run with analytic comparison columns and z-scores, ``compare-oracle``
 the corrected/published/numeric bid comparison for uniform[0,1], K = 1/2.
 
-Records are the fields of the library's result dataclasses, written by one
-renderer as CSV (header from the record keys, floats at 12 significant
-digits, undefined values as empty fields) or JSON (full precision,
+Each command builds one table, column name to values (``solve`` and ``sweep``
+take the solver's float64 arrays, no record per row), written by one renderer
+as CSV (header from the column names, floats at 12 significant digits,
+undefined values as empty fields) or JSON rows (full precision,
 re-serializable byte-for-byte).  Every option is declared once in
 ``OPTIONS``, which yields the subcommand flags, the keys accepted in a
 ``--config`` file of ``key = value`` lines, and their merge: a flag wins over
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistributionSpec
-from .equilibrium import AuctionParams, check_alpha, solution_at, solve_equilibria, solve_equilibrium
+from .equilibrium import AuctionParams, check_alpha, solution_at, solve_columns, solve_equilibrium
 from .errors import BracketError, ConvergenceError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
@@ -67,11 +68,21 @@ def _fmt(value) -> str:
     return format(x, ".12g")
 
 
-def _column(values: tuple) -> list[str]:
-    """One CSV column's fields; the formatter is picked once, from the types in the column."""
+def _fields(values) -> list[str]:
+    """One column's CSV fields.  Floats are written in one ``%.12g`` format call,
+    as ``format(x + 0.0, ".12g")`` writes each (None: an empty field); any
+    other value, such as a label, is formatted once however often it recurs."""
+    if isinstance(values, np.ndarray):
+        return ("%.12g," * len(values) % tuple((values + 0.0).tolist())).split(",")[:-1]
     if set(map(type, values)) <= {float, type(None)}:
-        return ["" if v is None else format(v + 0.0, ".12g") for v in values]  # + 0.0 writes -0.0 as 0
-    return list(map(_fmt, values))
+        return ["" if v is None else x for v, x in zip(values, _fields(np.array(values, dtype=float)))]
+    formatted = {v: _fmt(v) for v in set(values)}
+    return [formatted[v] for v in values]
+
+
+def _rows(table: dict) -> list[dict]:
+    columns = [values.tolist() if isinstance(values, np.ndarray) else values for values in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]
 
 
 def _check_finite(records: list[dict], summary: dict | None) -> None:
@@ -85,25 +96,26 @@ def _check_finite(records: list[dict], summary: dict | None) -> None:
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
-def render(records: list[dict], fmt: str, *, one: bool = False, summary: dict | None = None) -> str:
-    """Write ``records`` as CSV or JSON; ``one`` makes the JSON an object, not a list.
+def render(table: dict, fmt: str, *, one: bool = False, summary: dict | None = None) -> str:
+    """Write ``table``, column name to a float64 array or a list of values, as
+    CSV or JSON rows; ``one`` makes the JSON an object, not a list.
 
     ``summary`` values follow the rows: a ``# key=value`` CSV footer, or keys
     beside a JSON ``rows`` list.  A NaN or infinite value raises
     :class:`FloatingPointError`; None is written as an empty field or null.
-    CSV is written column by column, as every record has the same keys.
     """
     if fmt == "json":
-        _check_finite(records, summary)
-        payload = records[0] if one else records
+        rows = _rows(table)
+        _check_finite(rows, summary)
+        payload = rows[0] if one else rows
         if summary is not None:
-            payload = {"rows": records, **summary}
+            payload = {"rows": rows, **summary}
         return json.dumps(payload, indent=2) + "\n"
-    columns = [_column(values) for values in zip(*(record.values() for record in records))]
+    columns = list(map(_fields, table.values()))
     footer = {k: _fmt(v) for k, v in (summary or {}).items()}
     if any(not _NON_FINITE.isdisjoint(fields) for fields in (*columns, footer.values())):
-        _check_finite(records, summary)  # a field reading nan or inf may also be a label
-    lines = [",".join(records[0]), *map(",".join, zip(*columns))]
+        _check_finite(_rows(table), summary)  # a field reading nan or inf may also be a label
+    lines = [",".join(table), *map(",".join, zip(*columns))]
     if summary is not None:
         lines.append("# " + " ".join(f"{k}={v}" for k, v in footer.items()))
     return "\n".join(lines) + "\n"
@@ -269,24 +281,24 @@ def _settings(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def _solution_records(cfg, alphas) -> list[dict]:
-    """One record per law and alpha, law-major, all solved in one search."""
+def _solution_table(cfg, alphas) -> dict:
+    """One row per law and alpha, law-major, all solved in one search."""
     grid = [AuctionParams(cfg.strike, alpha, cfg.p, cfg.q) for alpha in alphas]
-    laws = [spec.build() for spec in cfg.dists for _ in grid]
-    sols = solve_equilibria(laws, grid * len(cfg.dists), cfg.tol)
-    rows = zip(alphas * len(cfg.dists), map(vars, sols))
-    if not (cfg.figure2 or len(cfg.dists) > 1):
-        return [{"alpha": alpha, **fields} for alpha, fields in rows]
-    labels = [label for label in map(str, cfg.dists) for _ in grid]
-    return [{"dist": label, "alpha": alpha, **fields} for label, (alpha, fields) in zip(labels, rows)]
+    laws = [law for spec in cfg.dists for law in [spec.build()] * len(grid)]
+    columns, statuses = solve_columns(laws, grid * len(cfg.dists), cfg.tol)
+    columns["effective_spread"] = np.where(columns["p_exec"] > 0.0, columns["effective_spread"], None).tolist()
+    table = {"alpha": np.tile(alphas, len(cfg.dists)), **columns, "status": statuses}
+    if cfg.figure2 or len(cfg.dists) > 1:
+        table = {"dist": [label for label in map(str, cfg.dists) for _ in grid], **table}
+    return table
 
 
 def cmd_solve(cfg) -> str:
-    return render(_solution_records(cfg, (cfg.alpha,)), cfg.format, one=True)
+    return render(_solution_table(cfg, (cfg.alpha,)), cfg.format, one=True)
 
 
 def cmd_sweep(cfg) -> str:
-    return render(_solution_records(cfg, cfg.alpha_grid), cfg.format)
+    return render(_solution_table(cfg, cfg.alpha_grid), cfg.format)
 
 
 def _z_score(empirical: float | None, analytic: float | None, se: float) -> float | None:
@@ -322,16 +334,15 @@ def cmd_simulate(cfg) -> str:
         "z_revenue": _z_score(res.mean_revenue, sol.revenue, res.se_revenue),
         "z_spread": _z_score(res.mean_spread_given_exec, sol.effective_spread, res.se_spread),
     }
-    return render([record], cfg.format, one=True)
+    return render({key: [value] for key, value in record.items()}, cfg.format, one=True)
 
 
 def cmd_compare_oracle(cfg) -> str:
     reports = build_oracle_reports(cfg.alpha_grid, cfg.tol)
-    summary = {
-        "max_abs_corrected_minus_numeric": max(abs(r.corrected_minus_numeric) for r in reports),
-        "max_abs_published_minus_numeric": max(abs(r.published_minus_numeric) for r in reports),
-    }
-    return render([vars(r) for r in reports], cfg.format, summary=summary)
+    table = {key: np.array([getattr(r, key) for r in reports]) for key in vars(reports[0])}
+    gaps = ("corrected_minus_numeric", "published_minus_numeric")
+    summary = {f"max_abs_{key}": float(np.abs(table[key]).max()) for key in gaps}
+    return render(table, cfg.format, summary=summary)
 
 
 COMMANDS = {

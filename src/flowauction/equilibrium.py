@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,6 +39,7 @@ __all__ = [
     "expected_utility",
     "solve_equilibrium",
     "solve_equilibria",
+    "solve_columns",
     "execution_probability",
     "effective_spread",
     "revenue",
@@ -139,8 +140,8 @@ class _Laws:
     def __init__(self, laws: Sequence[Distribution]):
         self.starts = [i for i, law in enumerate(laws) if i == 0 or law is not laws[i - 1]]
         self.runs = [laws[i] for i in self.starts]
-        fields = [(law.support.lo, law.support.hi, law.mean()) for law in self.runs]
-        self.lo, self.hi, self.mean = np.repeat(fields, np.diff([*self.starts, len(laws)]), axis=0).T
+        values = [(law.support.lo, law.support.hi, law.mean()) for law in self.runs]
+        self.lo, self.hi, self.mean = np.repeat(values, np.diff([*self.starts, len(laws)]), axis=0).T
 
     def read(self, i: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``cdf`` and ``partial_expectation`` at ``t[k]`` under the law of element
@@ -233,9 +234,9 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return upper
 
 
-def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> tuple[np.ndarray, ...]:
+def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> dict[str, np.ndarray]:
     """The fields of the record of bid ``b[i]`` under element ``i``, for every ``i``,
-    as arrays: b, threshold, p_exec, spread, revenue and utility.
+    as arrays keyed by field name: b, threshold, p_exec, spread, revenue and utility.
 
     Each law is read once, at all its elements' thresholds, for every field.
     """
@@ -246,14 +247,15 @@ def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> tuple[np.ndarr
         num = batch.decides * (P - batch.strike * (1.0 - F))  # E[(S - K) 1{execution}]
         if batch.forced:
             num = np.where(batch.p > 0.0, num + batch.p * (batch.mean - batch.strike), num)
-        return b, t, p_exec, num / p_exec, revenue(batch, b, p_exec), _utility(batch, b, t, F, P)
+        return dict(b_star=b, threshold=t, p_exec=p_exec, effective_spread=num / p_exec,
+                    revenue=revenue(batch, b, p_exec), residual=_utility(batch, b, t, F, P))
 
 
-def _records(columns: tuple[np.ndarray, ...], statuses) -> list[EquilibriumSolution]:
+def _records(columns: dict[str, np.ndarray], statuses) -> list[EquilibriumSolution]:
     return [
         EquilibriumSolution(b, t, p_exec, None if p_exec <= 0.0 else spread, rev, residual, status)
         for (b, t, p_exec, spread, rev, residual), status
-        in zip(zip(*(column.tolist() for column in columns)), statuses)
+        in zip(zip(*(column.tolist() for column in columns.values())), statuses)
     ]
 
 
@@ -274,10 +276,18 @@ def solution_at(
 def solve_equilibria(
     d: Distribution | Sequence[Distribution], params_seq: Sequence[AuctionParams], tol: float = 1e-12
 ) -> list[EquilibriumSolution]:
-    """:func:`solve_equilibrium` for each element of ``params_seq``, in one lockstep search.
+    """:func:`solve_equilibrium` for each element of ``params_seq``: the rows of :func:`solve_columns`."""
+    return _records(*solve_columns(d, params_seq, tol))
 
-    ``d`` is one law for every element, or a sequence with one law per
-    element.  The searched elements' indices and batch fields are passed to
+
+def solve_columns(
+    d: Distribution | Sequence[Distribution], params_seq: Sequence[AuctionParams], tol: float = 1e-12
+) -> tuple[dict[str, np.ndarray], list[SolutionStatus]]:
+    """:func:`solve_equilibrium` for each element of ``params_seq``, in one lockstep
+    search, as columns: each record field but ``status`` as a float64 array keyed
+    by its name (``effective_spread`` also where ``p_exec <= 0``, where the record
+    holds None), and the statuses.  ``d`` is one law for every element, or a
+    sequence with one law per element.  The searched elements' indices and batch fields are passed to
     :func:`find_crossings` as columns, so each round receives the rows of the
     searches still running and reads each law once, on their bids (a run of
     adjacent elements that share a law is one slice, so law-major order
@@ -287,7 +297,7 @@ def solve_equilibria(
     check, the upper bracket, the boundary regimes and the residual gate are
     array arithmetic over all elements, and each outcome is a mask: refused,
     unbracketed (also from twice the bracket) or gated by the residual.
-    Python runs per element only to build the records and the message of a
+    Python runs per element only to build the statuses and the message of a
     failure.  When elements fail, the error raised is the first failing
     element's, as a loop over ``params_seq`` would raise it.
     ``sweep --figure2`` solves its 4 laws × 101 alphas in one such call.
@@ -298,7 +308,7 @@ def solve_equilibria(
         raise InvalidParamsError(
             f"expected one law per element: {len(each)} laws for {len(params_seq)} elements")
     if not params_seq:
-        return []
+        return {field.name: np.empty(0) for field in fields(EquilibriumSolution)[:-1]}, []
     check_tol(tol)
     laws = _Laws(each)
     lo, hi = laws.lo, laws.hi
@@ -308,8 +318,8 @@ def solve_equilibria(
     eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
     solved = ~(eroded | refused)
 
-    def utility(bids: np.ndarray, i: np.ndarray, *fields: np.ndarray) -> np.ndarray:
-        at = _Batch(*fields, batch.forced)
+    def utility(bids: np.ndarray, i: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+        at = _Batch(*rows, batch.forced)
         t = _threshold(at, bids)
         return _utility(at, bids, t, *laws.read(i, t))
 
@@ -331,7 +341,7 @@ def solve_equilibria(
             unbracketed[again] = ~bracketed
 
         columns = _record_columns(laws, batch, b)
-        residual = columns[-1]
+        residual = columns["residual"]
         # the search stops at once where utility at b = 0 is already nonpositive
         zero_bid = solved & (b == 0.0) & (residual <= 0.0)
         m = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), np.abs(batch.strike))
@@ -354,7 +364,7 @@ def solve_equilibria(
         statuses[i] = SolutionStatus.BOUNDARY_FULL_EROSION
     for i in np.flatnonzero(zero_bid).tolist():
         statuses[i] = SolutionStatus.BOUNDARY_ZERO_BID
-    return _records(columns, statuses)
+    return columns, statuses
 
 
 def solve_equilibrium(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import Uniform
-from .equilibrium import AuctionParams, check_alpha, solve_equilibria
+from .equilibrium import AuctionParams, check_alpha, solve_columns
 
 __all__ = [
     "uniform_closed_form_bid",
@@ -87,19 +87,7 @@ def build_oracle_reports(alphas, tol: float = 1e-12) -> list[OracleReport]:
     """Tabulate both closed forms against the numeric solver on ``alphas``."""
     alphas = [float(alpha) for alpha in alphas]
     grid = [AuctionParams(strike=0.5, alpha=alpha) for alpha in alphas]
-    reports = []
-    for alpha, sol in zip(alphas, solve_equilibria(Uniform(0.0, 1.0), grid, tol)):
-        corrected = uniform_closed_form_bid(alpha)
-        published = published_closed_form_bid(alpha)
-        numeric = sol.b_star
-        reports.append(
-            OracleReport(
-                alpha=alpha,
-                corrected_bid=corrected,
-                published_bid=published,
-                numeric_bid=numeric,
-                corrected_minus_numeric=corrected - numeric,
-                published_minus_numeric=published - numeric,
-            )
-        )
-    return reports
+    numeric = solve_columns(Uniform(0.0, 1.0), grid, tol)[0]["b_star"].tolist()
+    corrected = [uniform_closed_form_bid(alpha) for alpha in alphas]
+    published = [published_closed_form_bid(alpha) for alpha in alphas]
+    return [OracleReport(a, c, p, n, c - n, p - n) for a, c, p, n in zip(alphas, corrected, published, numeric)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flowauction
-from flowauction.cli import main, render
+from flowauction.cli import _fields, main, render
 from flowauction.oracle import uniform_closed_form_bid, uniform_metrics
 
 
@@ -338,28 +338,48 @@ class TestExitContract:
 class TestRender:
     def test_the_first_non_finite_value_in_row_major_order_is_named(self):
         # column by column, the NaN of column a would be met first
-        records = [{"a": 1.0, "b": math.inf, "c": "x"}, {"a": math.nan, "b": 2.0, "c": "y"}]
-        for fmt in ("csv", "json"):
-            with pytest.raises(FloatingPointError) as info:
-                render(records, fmt)
-            assert str(info.value) == "b is inf"
+        for a in ([1.0, math.nan], np.array([1.0, math.nan])):
+            table = {"a": a, "b": np.array([math.inf, 2.0]), "c": ["x", "y"]}
+            for fmt in ("csv", "json"):
+                with pytest.raises(FloatingPointError) as info:
+                    render(table, fmt)
+                assert str(info.value) == "b is inf"
         with pytest.raises(FloatingPointError) as info:
-            render([{"a": 1.0}], "csv", summary={"n": 3, "worst": -math.inf})
+            render({"a": np.array([1.0])}, "csv", summary={"n": 3, "worst": -math.inf})
         assert str(info.value) == "worst is -inf"
 
     def test_fields(self):
-        records = [{"x": -0.0, "y": None, "n": np.int64(7), "z": 0.1, "dist": "beta:2,5"},
-                   {"x": 1e-13, "y": 2.0, "n": 8, "z": np.float64(-0.0), "dist": 'a"b'},
-                   {"x": 123456789.123456, "y": None, "n": True, "z": None, "dist": "nan"}]
-        assert render(records, "csv") == (
+        table = {"x": np.array([-0.0, 1e-13, 123456789.123456]), "y": [None, 2.0, None],
+                 "n": [np.int64(7), 8, True], "z": [0.1, np.float64(-0.0), None],
+                 "dist": ["beta:2,5", 'a"b', "nan"]}
+        assert render(table, "csv") == (
             "x,y,n,z,dist\n"
             '0,,7,0.1,"beta:2,5"\n'
             '1e-13,2,8,0,"a""b"\n'
             "123456789.123,,1,,nan\n"
         )
-        assert render(records[:1], "csv", summary={"k": -0.0, "label": "u,v"}) == (
+        first = {key: values[:1] for key, values in table.items()}
+        assert render(first, "csv", summary={"k": -0.0, "label": "u,v"}) == (
             'x,y,n,z,dist\n0,,7,0.1,"beta:2,5"\n# k=0 label="u,v"\n'
         )
+        # JSON keeps full precision and the sign of zero
+        rows = json.loads(render({"x": table["x"], "y": table["y"], "dist": table["dist"]}, "json"))
+        assert rows[0] == {"x": -0.0, "y": None, "dist": "beta:2,5"}
+        assert rows[2]["x"] == 123456789.123456
+        assert math.copysign(1.0, rows[0]["x"]) == -1.0
+
+
+FLOAT64 = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FLOAT64, min_size=1, max_size=40))
+def test_a_float_column_is_written_as_format_writes_each_value(values):
+    assert _fields(np.array(values)) == [format(x + 0.0, ".12g") for x in values]
 
 
 SCIPY_FREE = [

@@ -19,6 +19,7 @@ from flowauction import (
     expected_utility,
     option_value,
     revenue,
+    solve_columns,
     solve_equilibria,
     solve_equilibrium,
     uniform_closed_form_bid,
@@ -298,6 +299,28 @@ class TestSolveEquilibria:
 
     def test_an_empty_grid_has_no_solutions(self):
         assert solve_equilibria(U01, []) == []
+        columns, statuses = solve_columns(U01, [])
+        assert [column.size for column in columns.values()] == [0] * 6 and statuses == []
+
+    def test_the_records_are_the_rows_of_the_columns(self):
+        # alpha = 0 erodes the bid (p_exec = 0), strike 0.8 with p = 0.5 forces a zero bid
+        alphas = [float(alpha) for alpha in np.linspace(0.0, 1.0, 11)]
+        pairs = [(d, AuctionParams(strike, alpha, p, q)) for d in (U01, Beta(2.0, 5.0)) for alpha in alphas
+                 for strike, p, q in [(0.5, 0.0, 0.0), (0.5, 0.1, 0.1), (0.8, 0.5, 0.2)]]
+        laws, grid = zip(*pairs)
+        columns, statuses = solve_columns(laws, grid)
+        sols = solve_equilibria(laws, grid)
+        assert [*columns, "status"] == list(vars(sols[0]))
+        assert all(column.dtype == np.float64 and column.shape == (len(grid),) for column in columns.values())
+        assert statuses == [sol.status for sol in sols]
+        assert set(statuses) == set(SolutionStatus)
+        rows = zip(*(column.tolist() for column in columns.values()))
+        for sol, row, status in zip(sols, rows, statuses):
+            row = dict(zip(columns, row), status=status)
+            assert (sol.effective_spread is None) == (row["p_exec"] <= 0.0)
+            if sol.effective_spread is None:
+                row["effective_spread"] = None
+            assert list(map(repr, vars(sol).values())) == list(map(repr, row.values()))
 
     # at tol 1e-300, Beta(2, 5) and K = 0.5, the residual gate fails at alpha 0.1
     # and 0.2 but not at 0.5; a strike at the support top is refused before any
