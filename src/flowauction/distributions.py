@@ -78,15 +78,15 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, list[float]]:
-    """The 16-point rule's ``∫ f`` and ``∫ x f`` over ``[a, b]``, and ``f`` at its
-    nodes, which never round outside ``[a, b]``: one that rounds onto an end,
-    where a density may vanish or be infinite, moves to the nearest float
-    inside if there is one.  Rounding is monotone, so the lowest node is the
-    first to reach ``a`` and the highest ``b``."""
+    """The 16-point rule's ``∫ f`` and ``∫ x f`` over ``[a, b]``, and ``f`` at its nodes.
+    A node that rounds onto an end, where a density may vanish or be infinite, moves to
+    the nearest float inside; a span with none inside adds nothing where its ends make
+    the rule inf or NaN.  Rounding is monotone: the lowest node reaches ``a`` first."""
     offsets, weights = _gauss_legendre()
     half = 0.5 * (b - a)
     xs = [a + half * offset for offset in offsets]
-    if (xs[0] == a or xs[-1] == b) and math.nextafter(a, b) < b:
+    inside = math.nextafter(a, b) < b
+    if (xs[0] == a or xs[-1] == b) and inside:
         xs = [math.nextafter(a, b) if x == a else math.nextafter(b, a) if x == b else x for x in xs]
     mass = moment = 0.0
     fs = []
@@ -95,7 +95,9 @@ def _gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         y = weight * fs[-1]
         mass += y
         moment += x * y
-    return half * mass, half * moment, fs
+    if inside or math.isfinite(half * mass) and math.isfinite(half * moment):
+        return half * mass, half * moment, fs
+    return 0.0, 0.0, []
 
 
 _EPS = sys.float_info.epsilon

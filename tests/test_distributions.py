@@ -367,6 +367,18 @@ def test_a_node_rounded_onto_an_infinite_end_moves_inside(k):
     assert d.cdf(1.0 + k * 2.0**-52) == pytest.approx(math.sqrt(k * 2.0**-52), abs=1e-8)
 
 
+@pytest.mark.parametrize("lo", [1.0, 0.0])
+def test_a_span_with_no_float_inside_and_an_infinite_end_adds_nothing(lo):
+    # Beta(0.5, 1) on [lo, lo + 1]: every node of the span from the infinite
+    # end to the next float is an end.  Its mass is taken as 0, within the
+    # law's tolerance of the exact sqrt(ulp) (1.5e-8 above 1), not inf or NaN.
+    law = Beta(0.5, 1.0)
+    d = QuadratureDistribution(lambda x: law.pdf(x - lo), SupportInterval(lo, lo + 1.0), tol=1e-8)
+    above = math.nextafter(lo, 2.0)
+    assert d.cdf(above) == 0.0
+    assert 0.0 < d.cdf(math.nextafter(above, 2.0)) < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
