@@ -69,9 +69,8 @@ def _fmt(value) -> str:
 
 
 def _fields(values) -> list[str]:
-    """One column's CSV fields.  Floats are written in one ``%.12g`` format call,
-    as ``format(x + 0.0, ".12g")`` writes each (None: an empty field); any
-    other value, such as a label, is formatted once however often it recurs."""
+    """One column's CSV fields: floats in one ``%.12g`` format call, as ``format(x + 0.0,
+    ".12g")`` writes each (None: empty), and any other value once however often it recurs."""
     if isinstance(values, np.ndarray):
         return ("%.12g," * len(values) % tuple((values + 0.0).tolist())).split(",")[:-1]
     if set(map(type, values)) <= {float, type(None)}:
