@@ -92,9 +92,6 @@ def _check_finite(records: list[dict], summary: dict | None) -> None:
                 raise FloatingPointError(f"{key} is {value}")
 
 
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
-
-
 def render(table: dict, fmt: str, *, one: bool = False, summary: dict | None = None) -> str:
     """Write ``table``, column name to a float64 array or a list of values, as
     CSV or JSON rows; ``one`` makes the JSON an object, not a list.
@@ -110,14 +107,13 @@ def render(table: dict, fmt: str, *, one: bool = False, summary: dict | None = N
         if summary is not None:
             payload = {"rows": rows, **summary}
         return json.dumps(payload, indent=2) + "\n"
-    columns = list(map(_fields, table.values()))
-    footer = {k: _fmt(v) for k, v in (summary or {}).items()}
-    if any(not _NON_FINITE.isdisjoint(fields) for fields in (*columns, footer.values())):
-        _check_finite(_rows(table), summary)  # a field reading nan or inf may also be a label
-    lines = [",".join(table), *map(",".join, zip(*columns))]
+    lines = [",".join(table), *map(",".join, zip(*map(_fields, table.values())))]
     if summary is not None:
-        lines.append("# " + " ".join(f"{k}={v}" for k, v in footer.items()))
-    return "\n".join(lines) + "\n"
+        lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
+    text = "\n".join(lines) + "\n"
+    if "nan" in text or "inf" in text:  # a non-finite float is written so; a label may be too
+        _check_finite(_rows(table), summary)
+    return text
 
 
 def _parse_bool(text: str) -> bool:
