@@ -194,7 +194,14 @@ class Distribution(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw from the law; a float when ``size`` is None, else an ndarray."""
+        """Draw from the law; a float when ``size`` is None, else a new ndarray
+        the caller may overwrite.
+
+        Draws consume ``rng`` as one stream: drawing ``k`` values and then
+        ``m`` more from a generator gives the same values as drawing
+        ``k + m`` at once from a generator in the same state.  The Monte
+        Carlo calibrator relies on this to draw one batch in windows.
+        """
 
 
 class Uniform(Distribution):
@@ -237,7 +244,10 @@ class Uniform(Distribution):
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         lo, hi = self._support.lo, self._support.hi
-        return lo + (hi - lo) * rng.random(size)
+        s = rng.random(size)
+        s *= hi - lo  # in place: the values of lo + (hi - lo) * s, without two temporaries
+        s += lo
+        return s
 
 
 class Beta(Distribution):

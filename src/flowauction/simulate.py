@@ -2,20 +2,25 @@
 
 Each trial pays the upfront part of the bid, draws one uniform to settle the
 forced-execution / forced-failure / voluntary branch, then draws the
-reference price S (every trial draws S, so a trial consumes a fixed number
-of variates).  A voluntary trial executes only when ``S - K - (1-alpha)*bid``
-is strictly positive; ties do not execute.
+reference price S (every trial draws one price, whichever branch it takes).
+A voluntary trial executes only when ``S - K - (1-alpha)*bid`` is strictly
+positive; ties do not execute.
 
 Randomness comes from numpy's PCG64 generator.  Trials run in fixed-size
 chunks whose generators are spawned deterministically from the run seed, and
 chunk aggregates are combined with exact summation (``math.fsum``), so the
 result is bit-identical for a given ``SimConfig`` no matter how many workers
-evaluate the chunks.
+evaluate the chunks.  A simulation holds one chunk's arrays at a time.  The
+calibrator draws its one stream in windows of the chunk size and keeps only
+the trials that can execute, which :meth:`Distribution.sample`'s stream
+contract (k draws then m draws equal k + m draws) makes the same trials as
+one batch.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +35,13 @@ __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_
 _CHUNK = 1 << 18
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_count_and_seed(n, seed, n_name: str, n_min: int) -> None:
     counts = (n, seed)
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+    if not all(_is_integer(v) for v in counts):
         raise InvalidParamsError(f"{n_name} and seed must be integers, got {counts!r}")
     if n < n_min:
         raise InvalidParamsError(f"{n_name} must be >= {n_min}, got {n}")
@@ -74,36 +83,59 @@ class SimResult:
     n_exec: int
 
 
-def _trials(d: Distribution, params: AuctionParams, seed_seq: np.random.SeedSequence, m: int):
-    """Draw ``m`` seeded trials (a branch uniform, then a price S).
+def _trials(d: Distribution, params: AuctionParams, seed_seq: np.random.SeedSequence, n: int):
+    """Draw ``n`` seeded trials from one generator: ``n`` branch uniforms, then ``n`` prices S.
 
-    Returns each trial's ``x = S - K``, the mask of trials whose execution is
-    forced and the mask of those where the winner decides; the uniforms are
-    not kept.
+    Yields, for each window of at most ``_CHUNK`` trials in turn, the
+    window's ``x = S - K``, the mask of trials whose execution is forced and
+    the mask of those where the winner decides.  Both draws run window by
+    window, which gives the draws of one batch (see
+    :meth:`Distribution.sample`); the uniforms are not kept, so the run holds
+    2 bytes per trial and one window's prices.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    u = rng.random(m)
-    x = d.sample(rng, size=m) - params.strike
-    return x, u < params.p, u >= params.p + params.q
+    windows = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    forced, voluntary = np.empty(n, bool), np.empty(n, bool)
+    for w in windows:
+        u = rng.random(w.stop - w.start)
+        np.less(u, params.p, out=forced[w])
+        np.greater_equal(u, params.p + params.q, out=voluntary[w])
+    del u
+    for w in windows:
+        # no name here holds a window's x, so it is freed as soon as the caller drops it
+        yield _draw_x(d, params, rng, w.stop - w.start), forced[w], voluntary[w]
+
+
+def _draw_x(d: Distribution, params: AuctionParams, rng: np.random.Generator, m: int) -> np.ndarray:
+    """``m`` prices S drawn from ``rng``, less the strike: each trial's ``x = S - K``."""
+    x = d.sample(rng, size=m)
+    x -= params.strike
+    return x
 
 
 def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
     """Each trial's execution indicator and gain ``x - (1-alpha)*bid`` (0 where it does not execute)."""
-    gain_if_exec = x - (1.0 - params.alpha) * bid
-    executed = forced | (voluntary & (gain_if_exec > 0.0))
-    return executed, np.where(executed, gain_if_exec, 0.0)
+    gain = x - (1.0 - params.alpha) * bid
+    executed = gain > 0.0
+    executed &= voluntary
+    executed |= forced
+    np.copyto(gain, 0.0, where=~executed)
+    return executed, gain
 
 
 def _run_chunk(d, params, bid, seed_seq, m):
-    x, forced, voluntary = _trials(d, params, seed_seq, m)
+    (x, forced, voluntary), = _trials(d, params, seed_seq, m)
     executed, gain = _settle(params, bid, x, forced, voluntary)
+    sum_gain = float(gain.sum())
+    sum_gain2 = float(np.multiply(gain, gain, out=gain).sum())
     spread = x[executed]
+    # x is spent once the spread is taken; its head holds the squares
     return (
-        float(gain.sum()),
-        float((gain * gain).sum()),
-        int(executed.sum()),
+        sum_gain,
+        sum_gain2,
+        spread.size,
         float(spread.sum()),
-        float((spread * spread).sum()),
+        float(np.multiply(spread, spread, out=x[:spread.size]).sum()),
     )
 
 
@@ -129,8 +161,10 @@ def simulate_auction(
     the auction.
 
     ``workers`` > 1 evaluates chunks in a thread pool; results are identical
-    to the serial run.
+    to the serial run.  A run holds one chunk's arrays per worker.
     """
+    if not (_is_integer(workers) and workers >= 1):
+        raise InvalidParamsError(f"workers must be a positive integer, got {workers!r}")
     check_execution_right(d, params)
     n = cfg.n_trials
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -186,14 +220,21 @@ def simulate_auction(
     )
 
 
-def _zero_profit_bid(params: AuctionParams, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray) -> float:
-    """The bid at which the trials' mean utility crosses zero, or 0 when it is not positive at bid 0.
+def _executable(x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
+    """The ``x`` of the trials that execute at some bid >= 0: the forced ones,
+    and the voluntary ones with ``x > 0``."""
+    return x[forced], x[voluntary & (x > 0.0)]
 
-    At bid ``b`` a trial that executes gains ``x - c`` with ``c = (1-alpha)*b``:
-    a forced trial always, a voluntary one iff ``x > c``, which at ``c >= 0``
-    only a trial with ``x > 0`` can meet.  With ``xv`` those trials' ``x``
-    sorted, the mean utility is continuous, nonincreasing and linear between
-    the breakpoints ``c = xv[j]``; while the trials ``xv[j:]`` execute it is
+
+def _zero_profit_bid(params: AuctionParams, n: int, x_forced: np.ndarray, xv: np.ndarray) -> float:
+    """The bid at which the mean utility of ``n`` trials crosses zero, or 0 when it is not positive at bid 0.
+
+    ``x_forced`` and ``xv`` are the trials' :func:`_executable` parts; ``xv``
+    is sorted in place.  At bid ``b`` a trial that executes gains ``x - c``
+    with ``c = (1-alpha)*b``: a forced trial always, a voluntary one iff
+    ``x > c``, which at ``c >= 0`` only a trial with ``x > 0`` can meet.
+    With ``xv`` sorted, the mean utility is continuous, nonincreasing and
+    linear between the breakpoints ``c = xv[j]``; while the trials ``xv[j:]`` execute it is
     ``(sum(x_forced) + sum(xv[j:]) - (n_forced + k)*c)/n - alpha*b`` with
     ``k = len(xv) - j``.  A binary search over ``j`` finds the first
     breakpoint where it is nonpositive, and the root on the segment below it
@@ -202,11 +243,10 @@ def _zero_profit_bid(params: AuctionParams, x: np.ndarray, forced: np.ndarray, v
     :func:`_settle`.  Raises :class:`ConvergenceError` when a sum of gains
     overflows.
     """
-    n = len(x)
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        sum_forced = float(x[forced].sum())
-    n_forced = int(forced.sum())
-    xv = np.sort(x[voluntary & (x > 0.0)])
+        sum_forced = float(x_forced.sum())
+    n_forced = x_forced.size
+    xv.sort()
     m, alpha, contingent = len(xv), params.alpha, 1.0 - params.alpha
 
     def gains(j: int) -> float:
@@ -246,7 +286,10 @@ def calibrate_zero_profit_bid(
     function of the bid.  Its zero crossing is found exactly, from the
     forced trials' gain sum and count and the sorted gains of the voluntary
     trials that execute at some bid >= 0 (see :func:`_zero_profit_bid`); it
-    is 0 when the utility at b = 0 is already nonpositive.  Requires
+    is 0 when the utility at b = 0 is already nonpositive.  The batch is
+    drawn window by window (see :func:`_trials`) and only the trials that
+    can execute are kept, so a run holds 2 bytes per trial plus 8 bytes per
+    trial with ``x > 0`` or a forced execution.  Requires
     ``alpha > 0`` or ``p > 0`` so that the crossing is strict.  Raises
     :class:`ConvergenceError` when the upper bid bracket (see
     :func:`upper_bid_bracket`) or a sum of trial gains overflows.
@@ -259,4 +302,7 @@ def calibrate_zero_profit_bid(
     _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
     check_execution_right(d, params)
     upper_bid_bracket(d, params)  # no float bid reaching the support top: refused as the solver refuses it
-    return _zero_profit_bid(params, *_trials(d, params, np.random.SeedSequence(seed), n_per_eval))
+    # starmap lets go of each window before the next is drawn, where a loop variable would hold it
+    windows = _trials(d, params, np.random.SeedSequence(seed), n_per_eval)
+    pieces = list(itertools.starmap(_executable, windows))
+    return _zero_profit_bid(params, n_per_eval, *(np.concatenate(p) for p in zip(*pieces)))

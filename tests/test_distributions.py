@@ -429,6 +429,25 @@ class TestSampling:
         assert np.array_equal(wrapped.sample(rng_from(5), size=(4, 10)), x.reshape(4, 10))
         assert wrapped.sample(rng_from(5)) == x[0]
 
+    @pytest.mark.parametrize("d", [
+        Uniform(-3.0, 5.0),
+        Beta(0.5, 0.5),  # shapes below 1 and above 1 take different rejection samplers
+        Beta(2.0, 5.0),
+        QuadratureDistribution(Beta(2.0, 2.0).pdf, SupportInterval(0.0, 1.0)),
+    ], ids=["uniform", "beta-0.5-0.5", "beta-2-5", "quadrature"])
+    @pytest.mark.parametrize("k, m", [(None, 7), (1, 1), (3, 250), (100, 201)])
+    def test_draws_split_anywhere_are_the_draws_of_one_batch(self, d, k, m):
+        whole = d.sample(rng_from(11), size=(k or 1) + m)
+        rng = rng_from(11)
+        first = np.atleast_1d(d.sample(rng, size=k))
+        assert np.array_equal(np.concatenate([first, d.sample(rng, size=m)]), whole)
+
+    def test_uniform_draws_are_the_scaled_uniforms(self):
+        # the in-place scaling gives the values of lo + (hi - lo) * u
+        u = rng_from(4).random(1000)
+        assert np.array_equal(Uniform(-3.0, 5.0).sample(rng_from(4), size=1000), -3.0 + 8.0 * u)
+        assert Uniform(-3.0, 5.0).sample(rng_from(4)) == -3.0 + 8.0 * u[0]
+
     def test_quadrature_law_sampling_far_from_zero(self):
         # near 1e4 adjacent floats are ~1.8e-12 apart: bisection must stop on adjacency
         support = SupportInterval(1e4, 1e4 + 1.0)

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from flowauction import (
     simulate_auction,
     solve_equilibrium,
 )
-from flowauction.simulate import _settle, _trials, _zero_profit_bid
+from flowauction import simulate
+from flowauction.simulate import _executable, _settle, _trials, _zero_profit_bid
 
 U01 = Uniform(0.0, 1.0)
 
@@ -54,6 +56,9 @@ class TestSimulateAuction:
         params = AuctionParams(strike=0.5, alpha=0.5, p=0.1, q=0.1)
         cfg = SimConfig(n_trials=600_000, seed=3, bid=0.1)
         assert simulate_auction(U01, params, cfg, workers=4) == simulate_auction(
+            U01, params, cfg
+        )
+        assert simulate_auction(U01, params, cfg, workers=np.int64(2)) == simulate_auction(
             U01, params, cfg
         )
 
@@ -125,6 +130,12 @@ class TestSimulateAuction:
             if abs(res.mean_utility) <= 4.0 * res.se_utility:
                 passes += 1
         assert passes >= 99
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        cfg = SimConfig(n_trials=10, seed=0, bid=0.1)
+        with pytest.raises(InvalidParamsError, match="workers must be a positive integer"):
+            simulate_auction(U01, AuctionParams(strike=0.5, alpha=0.5), cfg, workers=workers)
 
     def test_strike_above_support_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -200,6 +211,78 @@ class TestCalibration:
         assert got == pytest.approx(bid, rel=1e-12, abs=0.0)
 
 
+# ---------------------------------------------------------------------------
+# the one-batch draws and full-size kernel that the windowed, in-place ones
+# must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_trials(d, params, seed_seq, m):
+    """All ``m`` branch uniforms, then all ``m`` prices, each drawn as one array."""
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    u = rng.random(m)
+    x = d.sample(rng, size=m) - params.strike
+    return x, u < params.p, u >= params.p + params.q
+
+
+def reference_run_chunk(d, params, bid, seed_seq, m):
+    """One chunk's moments, with a new array for every step."""
+    x, forced, voluntary = reference_trials(d, params, seed_seq, m)
+    gain_if_exec = x - (1.0 - params.alpha) * bid
+    executed = forced | (voluntary & (gain_if_exec > 0.0))
+    gain = np.where(executed, gain_if_exec, 0.0)
+    spread = x[executed]
+    return (
+        float(gain.sum()),
+        float((gain * gain).sum()),
+        int(executed.sum()),
+        float(spread.sum()),
+        float((spread * spread).sum()),
+    )
+
+
+def reference_calibrate(d, params, n, seed):
+    """The zero-profit bid read from one batch of ``n`` trials held whole."""
+    x, forced, voluntary = reference_trials(d, params, np.random.SeedSequence(seed), n)
+    return _zero_profit_bid(params, n, x[forced], np.sort(x[voluntary & (x > 0.0)]))
+
+
+REFERENCE_LAWS = [
+    (U01, 0.5, 0.1),
+    (Beta(2.0, 5.0), 0.5, 0.05),
+    (Beta(0.5, 0.5), 0.5, 0.1),
+    (Uniform(-3.0, 5.0), 1.0, 0.8),  # a shifted law: x = S - K is negative on most of it
+]
+
+
+@pytest.mark.parametrize("d, strike, bid", REFERENCE_LAWS,
+                         ids=["uniform", "beta-2-5", "beta-0.5-0.5", "shifted"])
+@pytest.mark.parametrize("alpha, p, q", [(0.5, 0.0, 0.0), (0.5, 0.2, 0.1), (1.0, 0.0, 0.0)])
+@pytest.mark.parametrize("n", [2, 2**18 - 1, 2**18, 2**18 + 1, 10**6])
+class TestWindowedDrawsMatchOneBatch:
+    def test_calibration(self, d, strike, bid, alpha, p, q, n):
+        params = AuctionParams(strike, alpha, p, q)
+        assert calibrate_zero_profit_bid(d, params, n, 5) == reference_calibrate(d, params, n, 5)
+
+    def test_simulation(self, d, strike, bid, alpha, p, q, n, monkeypatch):
+        params, cfg = AuctionParams(strike, alpha, p, q), SimConfig(n_trials=n, seed=5, bid=bid)
+        got = simulate_auction(d, params, cfg)
+        monkeypatch.setattr(simulate, "_run_chunk", reference_run_chunk)
+        assert got == simulate_auction(d, params, cfg)
+
+
+def test_calibration_holds_the_executable_trials_not_the_batch():
+    # held whole, the batch's uniforms, prices and x peaked at 17.9 MiB; about
+    # half of the 10^6 trials have x > 0, and their x take 3.8 MiB
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        calibrate_zero_profit_bid(U01, AuctionParams(0.5, 0.5), 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
 @st.composite
 def trial_batches(draw):
     """A law, auction parameters, a small seeded batch of trials and bids to read it at."""
@@ -215,8 +298,8 @@ def trial_batches(draw):
     p = draw(st.floats(0.0, 1.0))
     q = draw(st.floats(0.0, 1.0 - p))
     params = AuctionParams(strike, alpha, p, q)
-    x, forced, voluntary = _trials(d, params, np.random.SeedSequence(draw(st.integers(0, 2**64 - 1))),
-                                   draw(st.integers(2, 64)))
+    (x, forced, voluntary), = _trials(d, params, np.random.SeedSequence(draw(st.integers(0, 2**64 - 1))),
+                                      draw(st.integers(2, 64)))
     # the batch repeated, so that trials tie with each other
     repeats = draw(st.integers(1, 3))
     x, forced, voluntary = (np.tile(v, repeats) for v in (x, forced, voluntary))
@@ -248,7 +331,7 @@ def test_the_exact_root_is_a_crossing_of_the_direct_mean(batch):
         scale = (np.abs(x[executed]).sum() + executed.sum() * c * abs(bid)) / len(x) + params.alpha * abs(bid)
         return float(gain.mean()) - params.alpha * bid, 16 * sys.float_info.epsilon * scale
 
-    root = _zero_profit_bid(params, x, forced, voluntary)
+    root = _zero_profit_bid(params, len(x), *_executable(x, forced, voluntary))
     assert root >= 0.0 and math.isfinite(root)
     above = [math.nextafter(root, math.inf)] + [bid for bid in bids if bid > root]
     below = [bid for bid in bids if bid < root]
