@@ -299,6 +299,10 @@ TINY = math.nextafter(0.0, 1.0)
     (lambda x: -math.inf if x > 1e-300 else 1.0, 0.0, 1e308),
     (lambda x: 1.0, 1e300, 1e307),
     (lambda x: 1.0 if x < 0.5 else math.nan, 0.0, 1.0),  # NaN at hi is not positive: it brackets
+    # the midpoint of [-1, 1] is exactly 0.0, so the next step is clipped with tl = 0
+    (lambda x: 0.3 - x, -1.0, 1.0),
+    (lambda x: -0.2 - x, -1.0, 1.0),
+    (lambda x: (0.3 - x) * (1.0 if x < 0.3 else 40.0), -1.0, 1.0),
 ])
 def test_edge_cases_match_the_reference(f, lo, hi):
     want = reference_crossing(f, lo, hi)

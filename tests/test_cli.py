@@ -275,6 +275,21 @@ class TestConfigAndOutput:
     def test_missing_config_file_exits_2(self, capsys):
         assert run(capsys, "solve", "--alpha", "1", "--config", "/nonexistent.cfg")[0] == 2
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ("figure2 = maybe\n", ["sweep"], "expected a boolean, got 'maybe'"),
+        ("strike 0.5\n", ["sweep"], "{cfg}:1: expected 'key = value', got 'strike 0.5'"),
+        ("format = xml\n", ["sweep"], "format must be csv or json, got 'xml'"),
+        ("", ["sweep", "--alpha-grid", "0,1,3.5"], "bad --alpha-grid value '0,1,3.5'"),
+        ("", ["solve", "--alpha", "0.5", "--dist", "uniform:0,1", "--dist", "beta:2,2"],
+         "solve takes exactly one --dist"),
+        ("", ["simulate", "--alpha", "0.5", "--n", "10", "--seed", "18446744073709551616"],
+         "seed must be a 64-bit nonnegative integer, got 18446744073709551616"),
+    ])
+    def test_each_usage_error_is_named_in_one_line(self, capsys, tmp_path, config, argv, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert run(capsys, *argv, "--config", str(cfg)) == (2, "", f"error: {message.format(cfg=cfg)}\n")
+
     def test_figure2_outside_sweep_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("figure2 = true\n")

@@ -171,6 +171,7 @@ class TestBeta:
         assert Beta(2.0, 5.0).pdf(0.0) == 0.0
         assert Beta(1.0, 3.0).pdf(0.0) == pytest.approx(3.0, abs=1e-14)
         assert math.isinf(Beta(0.5, 0.5).pdf(0.0))
+        assert math.isinf(Beta(2.0, 0.5).pdf(1.0))
         assert Beta(2.0, 5.0).pdf(-0.2) == 0.0
 
     def test_invalid_shapes(self):
@@ -251,6 +252,19 @@ def test_quadrature_law_accepts_unnormalized_density():
     d = QuadratureDistribution(lambda x: 3.0, SupportInterval(0.0, 2.0))
     assert d.cdf(1.0) == pytest.approx(0.5, abs=1e-12)
     assert d.mean() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_quadrature_law_density_is_the_normalized_raw_density():
+    def raw(x):
+        return 3.0 * x * (2.0 - x)  # mass 4 on [0, 2]
+
+    d = QuadratureDistribution(raw, SupportInterval(0.0, 2.0))
+    h = 1e-5
+    for x in (0.0, 0.3, 1.0, 1.7, 2.0):
+        assert d.pdf(x) == pytest.approx(raw(x) / 4.0, rel=1e-12)
+        if 0.0 < x < 2.0:
+            assert d.pdf(x) == pytest.approx((d.cdf(x + h) - d.cdf(x - h)) / (2.0 * h), abs=1e-8)
+    assert d.pdf(-0.1) == d.pdf(2.1) == d.pdf(-math.inf) == 0.0
 
 
 def test_quadrature_law_repr_names_its_arguments():
@@ -498,3 +512,7 @@ class TestDistributionSpec:
     def test_parse_errors(self, bad):
         with pytest.raises(InvalidParamsError):
             DistributionSpec.parse(bad)
+
+    def test_an_unknown_kind_is_refused_when_built(self):
+        with pytest.raises(InvalidParamsError, match=r"^unknown distribution kind 'gamma'$"):
+            DistributionSpec("gamma", (1.0, 2.0)).build()
