@@ -21,14 +21,6 @@ import numpy as np
 # and the bracket collapses instead of creeping toward it
 _MIN_STEP = 2.0 * sys.float_info.epsilon
 
-def _clamp(t: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``min(max(t, lower), upper)`` elementwise, with the builtins' NaN behaviour:
-    each keeps its first argument unless the second compares beyond it, so a
-    NaN ``t`` stays NaN and a NaN bound is passed over (``np.maximum`` would
-    return it)."""
-    t = np.where(lower > t, lower, t)
-    return np.where(upper < t, upper, t)
-
 
 def find_crossings(
     f: Callable[..., np.ndarray], lo: Sequence[float], hi: Sequence[float], *columns: np.ndarray
@@ -104,12 +96,15 @@ def find_crossings(
             lo, hi = np.where(positive, a, b), np.where(positive, b, a)
             width = hi - lo
             xi = (a - b) / (c - b)
-            phi = (fa - fb) / (fc - fb)
+            fcb = fc - fb
+            phi = (fa - fb) / fcb
             rest = 1.0 - phi
-            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / fcb
             tl = _MIN_STEP * np.abs(a) / width
             interpolate = ((width <= 0.5 * w2) & (fc != fa) & (fc != fb) & (phi * phi < xi)
                            & (rest * rest < 1.0 - xi) & (tl < 0.5))
-            t = np.where(interpolate, _clamp(t, tl, 1.0 - tl), 0.5)
+            # tl < 0.5 where it interpolates, so this is min(max(t, tl), 1 - tl), save that a -0.0
+            # t may become 0.0 at tl = 0: x is then a, a bracket end, that mid replaces either way
+            t = np.where(interpolate, np.minimum(np.maximum(t, tl), 1.0 - tl), 0.5)
             w2, w1 = w1, width
     return roots, bracketed

@@ -62,10 +62,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".12g")
+    return _fields(np.array([value], dtype=float))[0]
 
 
 def _fields(values) -> list[str]:
@@ -310,7 +307,7 @@ def cmd_simulate(cfg) -> str:
     if cfg.bid is None:
         sol = solve_equilibrium(d, params, cfg.tol)
     else:
-        sol = solution_at(d, params, cfg.bid, None)
+        sol = solution_at(d, params, cfg.bid)
     res = simulate_auction(d, params, SimConfig(n_trials=cfg.n, seed=cfg.seed, bid=sol.b_star))
 
     record = {

@@ -118,7 +118,6 @@ class _Batch(NamedTuple):
     strike: np.ndarray
     alpha: np.ndarray
     p: np.ndarray
-    q: np.ndarray
     contingent: np.ndarray  # 1 - alpha, the share of the bid paid on execution
     decides: np.ndarray  # 1 - p - q, the chance that the winner decides
     mean: np.ndarray  # the law's mean, which forced execution earns
@@ -128,7 +127,7 @@ class _Batch(NamedTuple):
     def of(cls, params_seq: Sequence[AuctionParams], means) -> "_Batch":
         columns = np.array([(x.strike, x.alpha, x.p, x.q) for x in params_seq], dtype=float)
         strike, alpha, p, q = columns.T
-        return cls(strike, alpha, p, q, 1.0 - alpha, 1.0 - p - q, np.asarray(means, dtype=float),
+        return cls(strike, alpha, p, 1.0 - alpha, 1.0 - p - q, np.asarray(means, dtype=float),
                    bool((p > 0.0).any()))
 
 
@@ -180,17 +179,17 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     execution contributes ``mean - K - (1 - alpha) * b`` irrespective of
     profitability.
     """
-    return solution_at(d, params, b, None).residual
+    return solution_at(d, params, b).residual
 
 
 def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
     """P(execution) at bid ``b_star``: forced mass plus the voluntary tail."""
-    return solution_at(d, params, b_star, None).p_exec
+    return solution_at(d, params, b_star).p_exec
 
 
 def effective_spread(d: Distribution, params: AuctionParams, b_star: float) -> float | None:
     """E[S - K | execution] at bid ``b_star``; None when P(execution) = 0."""
-    return solution_at(d, params, b_star, None).effective_spread
+    return solution_at(d, params, b_star).effective_spread
 
 
 def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:
@@ -259,18 +258,15 @@ def _records(columns: dict[str, np.ndarray], statuses) -> list[EquilibriumSoluti
     ]
 
 
-def solution_at(
-    d: Distribution, params: AuctionParams, b: float, status: SolutionStatus | None
-) -> EquilibriumSolution:
-    """The record of bid ``b``: threshold, p_exec, spread, revenue and utility.
+def solution_at(d: Distribution, params: AuctionParams, b: float) -> EquilibriumSolution:
+    """The record of the given bid ``b``: threshold, p_exec, spread, revenue and utility.
 
     The law is read once, at the threshold, for all of them; ``residual`` is
     the winner's expected utility at ``b``, which :func:`expected_utility`
-    returns.  ``status`` says how ``b`` was found: None for a bid that was
-    given rather than solved.
+    returns.  ``status`` is None: ``b`` was given, not solved.
     """
     batch = _Batch.of([params], [d.mean()])
-    return _records(_record_columns(_Laws([d]), batch, np.array([b], dtype=float)), [status])[0]
+    return _records(_record_columns(_Laws([d]), batch, np.array([b], dtype=float)), [None])[0]
 
 
 def solve_equilibria(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowauction._bisect import _clamp, find_crossings
+from flowauction._bisect import find_crossings
 from flowauction.errors import BracketError
 
 
@@ -313,13 +313,3 @@ def test_edge_cases_match_the_reference(f, lo, hi):
         assert_same_outcome(got, want)
         if f(lo) > 0.0 and f(TINY) == 0.0:
             assert got == TINY
-
-
-def test_the_clamp_compares_as_the_builtins_do():
-    nan = math.nan
-    t = [nan, 0.3, 0.3, 0.7, 0.05, nan, 0.5, -0.0]
-    lower = [0.1, nan, 0.1, 0.1, 0.1, nan, 0.1, 0.0]
-    upper = [0.9, 0.9, nan, 0.6, 0.9, nan, 0.5, 0.0]
-    got = _clamp(np.array(t), np.array(lower), np.array(upper)).tolist()
-    want = [min(max(*pair), hi) for pair, hi in zip(zip(t, lower), upper)]
-    assert [v.hex() for v in got] == [v.hex() for v in want]
