@@ -77,7 +77,7 @@ def run(argv: list[str]) -> list:
 def test_the_corpus_replays_byte_for_byte():
     corpus = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
     assert len(corpus) == SIZE
-    moved = [(want, got) for want, got in zip(corpus, (run(want[2]) for want in corpus)) if want != got]
+    moved = [(want, got) for want in corpus if (got := run(want[2])) != want]
     assert not moved, f"{len(moved)} of {SIZE} argvs changed; (corpus, now): {moved[:3]}"
 
 
