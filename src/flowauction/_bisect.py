@@ -103,8 +103,8 @@ def find_crossings(
             tl = _MIN_STEP * np.abs(a) / width
             interpolate = ((width <= 0.5 * w2) & (fc != fa) & (fc != fb) & (phi * phi < xi)
                            & (rest * rest < 1.0 - xi) & (tl < 0.5))
-            # tl < 0.5 where it interpolates, so this is min(max(t, tl), 1 - tl), save that a -0.0
-            # t may become 0.0 at tl = 0: x is then a, a bracket end, that mid replaces either way
+            # tl < 0.5 where it interpolates, so this is min(max(t, tl), 1 - tl), except that a
+            # -0.0 t may become 0.0 at tl = 0; x is a, a bracket end, either way, and mid replaces it
             t = np.where(interpolate, np.minimum(np.maximum(t, tl), 1.0 - tl), 0.5)
             w2, w1 = w1, width
     return roots, bracketed
