@@ -138,8 +138,8 @@ def _elementwise(x, fn: Callable[[np.ndarray], np.ndarray]):
 
 
 def _each(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """``fn`` applied to each element of a 1-d array, on Python floats."""
-    return lambda x: np.array([fn(v) for v in x.tolist()], dtype=float)
+    """``fn`` applied to each element of a 1-d array, on Python floats; NaN gives NaN."""
+    return lambda x: np.array([fn(v) if v == v else v for v in x.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -266,6 +266,15 @@ class Beta(Distribution):
         self.b = float(b)
         self._shapes = np.array([[self.a], [self.b]])
         self._support = SupportInterval(0.0, 1.0)
+
+    @classmethod
+    def _stacked(cls, shapes: np.ndarray) -> "Beta":
+        """A Beta whose shapes are the columns of the 2 × n array ``shapes``, each
+        those of a valid law: ``cdf`` and ``partial_expectation`` read ``x[k]``
+        under column ``k``, as their formulas broadcast."""
+        law = cls.__new__(cls)
+        law.a, law.b = law._shapes = shapes
+        return law
 
     def __repr__(self):
         return f"Beta({self.a}, {self.b})"

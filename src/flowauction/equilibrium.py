@@ -23,12 +23,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
 
 from ._bisect import find_crossings
-from .distributions import Distribution, check_tol
+from .distributions import Beta, Distribution, check_tol
 from .errors import BracketError, ConvergenceError, InvalidParamsError
 
 __all__ = [
@@ -132,27 +133,40 @@ class _Batch(NamedTuple):
 
 
 class _Laws:
-    """The law of each element of a batch, held as runs of adjacent elements
-    that share one; in law-major order each law is one run.  ``lo``, ``hi``
-    and ``mean`` hold each element's support and mean."""
+    """The law of each element of a batch, grouped by family: the elements under
+    Beta laws are one group, read through one Beta that holds their shapes as
+    columns, and each other law is a group of its own (as is a lone Beta law).
+    ``lo``, ``hi`` and ``mean`` hold each element's support and mean."""
 
     def __init__(self, laws: Sequence[Distribution]):
-        self.starts = [i for i, law in enumerate(laws) if i == 0 or law is not laws[i - 1]]
-        self.runs = [laws[i] for i in self.starts]
-        values = [(law.support.lo, law.support.hi, law.mean()) for law in self.runs]
-        self.lo, self.hi, self.mean = np.repeat(values, np.diff([*self.starts, len(laws)]), axis=0).T
+        starts = [i for i, law in enumerate(laws) if i == 0 or law is not laws[i - 1]]
+        runs = [laws[i] for i in starts]
+        stack = len({id(law) for law in runs if type(law) is Beta}) > 1
+        keys = [Beta if stack and type(law) is Beta else law for law in runs]
+        self.groups = list({id(key): key for key in keys}.values())  # Beta stands for the stacked group
+        number = {id(key): n for n, key in enumerate(self.groups)}
+        values = [(law.support.lo, law.support.hi, law.mean(), number[id(key)],
+                   *((law.a, law.b) if key is Beta else (1.0, 1.0))) for law, key in zip(runs, keys)]
+        columns = np.repeat(values, [b - a for a, b in pairwise([*starts, len(laws)])], axis=0).T
+        (self.lo, self.hi, self.mean, self.group), self.shapes = columns[:4], columns[4:]
 
     def read(self, i: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``cdf`` and ``partial_expectation`` at ``t[k]`` under the law of element
-        ``i[k]``, for increasing ``i``: each run's law is read once, on its slice."""
-        if len(self.runs) == 1:
-            return self.runs[0].cdf(t), self.runs[0].partial_expectation(t)
+        ``i[k]``: each group is read once, on its elements' rows."""
+        if len(self.groups) == 1:
+            return self._read(self.groups[0], i, t)
         F, P = np.empty_like(t), np.empty_like(t)
-        cuts = [*np.searchsorted(i, self.starts).tolist(), len(i)]
-        for law, a, b in zip(self.runs, cuts, cuts[1:]):
-            if a < b:
-                F[a:b], P[a:b] = law.cdf(t[a:b]), law.partial_expectation(t[a:b])
+        group = self.group[i]
+        for n, law in enumerate(self.groups):
+            k = np.flatnonzero(group == n)
+            if k.size:
+                F[k], P[k] = self._read(law, i[k], t[k])
         return F, P
+
+    def _read(self, law, i: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if law is Beta:
+            law = Beta._stacked(self.shapes[:, i])
+        return law.cdf(t), law.partial_expectation(t)
 
 
 def _threshold(batch: _Batch, b):
@@ -285,9 +299,9 @@ def solve_columns(
     holds None), and the statuses.  ``d`` is one law for every element, or a
     sequence with one law per element.  The searched elements' indices and batch fields are passed to
     :func:`find_crossings` as columns, so each round receives the rows of the
-    searches still running and reads each law once, on their bids (a run of
-    adjacent elements that share a law is one slice, so law-major order
-    reads every law once); each element takes exactly the float steps a
+    searches still running and reads each law family once, on their bids (all
+    Beta laws through one Beta holding each row's shapes, in any element
+    order); each element takes exactly the float steps a
     search of its own would, so element ``i`` of the result equals
     ``solve_equilibrium(d_i, params_seq[i], tol)``.  The execution-right
     check, the upper bracket, the boundary regimes and the residual gate are

@@ -181,6 +181,17 @@ class TestBeta:
             Beta(2.0, -3.0)
 
 
+@pytest.mark.parametrize("law", [Uniform(-1.0, 3.0), Beta(2.0, 5.0),
+                                 QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))])
+def test_nan_gives_nan(law):
+    # bisect_right placed NaN past the last panel edge, so a quadrature law's cdf
+    # was 1.0 there and its partial expectation raised IndexError
+    for method in (law.cdf, law.partial_expectation):
+        assert math.isnan(method(math.nan))
+        values = method(np.array([0.25, math.nan, 0.75]))
+        assert np.isnan(values[1]) and values[[0, 2]].tolist() == [method(0.25), method(0.75)]
+
+
 # ---------------------------------------------------------------------------
 # distribution invariants (property-based)
 # ---------------------------------------------------------------------------

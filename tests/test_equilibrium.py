@@ -1,4 +1,6 @@
 import math
+from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from flowauction import (
     solve_equilibrium,
     uniform_closed_form_bid,
 )
+from flowauction import distributions
 from flowauction.cli import main
-from flowauction.equilibrium import solution_at, upper_bid_bracket
+from flowauction.equilibrium import _Laws, solution_at, upper_bid_bracket
 from test_bisect import find_crossing
 
 U01 = Uniform(0.0, 1.0)
@@ -251,14 +254,14 @@ class TestSolveEquilibrium:
                 assert sol.revenue == revenue(params, sol.b_star, p_exec)
 
     def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
-        # wrapped the way bench/spans.py wraps the laws; each law's grid is one
-        # lockstep search, whose rounds each read the law once on the running
-        # searches, and then one read of the records at the roots.  Plain
+        # wrapped the way bench/spans.py wraps the laws; the 4 laws' grids are one
+        # lockstep search, whose rounds each read the Beta family once on the
+        # running searches, and then one read of the records at the roots.  Plain
         # bisection to adjacent floats took about 58 evaluations per root
-        sizes: dict[str, list[int]] = {}
+        sizes: list[int] = []
 
         def counted(law, t):
-            sizes.setdefault(repr(law), []).append(np.size(t))
+            sizes.append(np.size(t))
             return original(law, t)
 
         original = Beta.cdf
@@ -266,10 +269,10 @@ class TestSolveEquilibrium:
         out = tmp_path / "figure2.csv"
         assert main(["sweep", "--figure2", "--output", str(out)]) == 0
         roots = out.read_text().count("interior_root")
-        assert roots == 400 and len(sizes) == 4
-        rounds = {law: calls[:-1] for law, calls in sizes.items()}
-        assert sum(sum(r) for r in rounds.values()) / roots <= 15
-        assert max(len(r) for r in rounds.values()) <= 20
+        assert roots == 400 and sizes[-1] == 404
+        rounds = sizes[:-1]
+        assert sum(rounds) / roots <= 15
+        assert len(rounds) <= 20
 
     def test_closed_form_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
@@ -439,6 +442,93 @@ def test_a_utility_positive_at_twice_the_bracket_is_a_bracket_error():
         solve_equilibria([U01, d, U01], [params, params, AuctionParams(2.0, 0.5)])
     with pytest.raises(InvalidParamsError, match="worthless"):
         solve_equilibria([U01, d], [AuctionParams(2.0, 0.5), params])
+
+
+def test_the_figure2_sweep_reads_each_law_family_once_a_round(monkeypatch, tmp_path):
+    # a counting stand-in for scipy.special: a read of the batch takes one Beta cdf
+    # and one partial expectation, one betainc each, for all four Beta laws; a
+    # read of each law on its own run of elements made 140 calls in the sweep
+    special, calls = distributions._special(), {"betainc": 0, "read": 0}
+
+    def betainc(*args):
+        calls["betainc"] += 1
+        return special.betainc(*args)
+
+    def read(laws, i, t):
+        calls["read"] += 1
+        return original(laws, i, t)
+
+    original = _Laws.read
+    stand_in = SimpleNamespace(betainc=betainc, betaln=special.betaln)
+    monkeypatch.setattr(distributions, "_special", lambda: stand_in)
+    monkeypatch.setattr(_Laws, "read", read)
+    assert main(["sweep", "--figure2", "--output", str(tmp_path / "figure2.csv")]) == 0
+    assert calls["betainc"] <= 2 * calls["read"] and calls["betainc"] <= 40
+
+
+QUAD = QuadratureDistribution(lambda x: x * (2.0 - x), SupportInterval(0.0, 2.0))
+MIXED = [U01, Beta(2.0, 2.0), QUAD, Beta(2.0, 5.0), Uniform(-1.0, 3.0), Beta(0.5, 0.5), Beta(2.0, 2.0)]
+
+
+def edge_points(d):
+    """Points off, at and inside the support, where Beta's cdf turns to the reflection."""
+    lo, hi = d.support.lo, d.support.hi
+    return [-math.inf, lo - 1.0, lo, math.nextafter(0.5, -1.0), 0.5, math.nextafter(0.5, 1.0), hi,
+            hi + 1.0, math.inf, math.nan]
+
+
+# point-major, so that no two adjacent elements share a law
+READS = [(d, edge_points(d)[k]) for k in range(10) for d in MIXED]
+
+
+@settings(max_examples=40, deadline=None)
+@given(running=st.lists(st.booleans(), min_size=len(READS), max_size=len(READS)))
+def test_a_grouped_read_equals_each_laws_own(running):
+    laws = _Laws([d for d, _ in READS])
+    assert laws.lo.tolist() == [d.support.lo for d, _ in READS]
+    i = np.flatnonzero(running)
+    F, P = laws.read(i, np.array([READS[k][1] for k in i.tolist()]))
+    np.testing.assert_array_equal(F, [READS[k][0].cdf(READS[k][1]) for k in i.tolist()])
+    np.testing.assert_array_equal(P, [READS[k][0].partial_expectation(READS[k][1]) for k in i.tolist()])
+
+
+@st.composite
+def elements(draw):
+    """A law of any family and auction parameters with the strike below the support top."""
+    uniforms = st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+    d = draw(st.sampled_from([Beta(2.0, 2.0), Beta(2.0, 5.0), Beta(5.0, 2.0), Beta(0.5, 0.5), QUAD]) | uniforms)
+    lo, hi = d.support.lo, d.support.hi
+    strike = min(lo + draw(st.floats(-1.0, 1.0)) * (hi - lo), math.nextafter(hi, -math.inf))
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    p = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    q = draw(st.floats(0.0, 1.0 - p))
+    return d, AuctionParams(strike, alpha, p, q)
+
+
+def hex_rows(columns):
+    return [tuple(float(x).hex() for x in row) for row in zip(*columns.values())]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases=st.lists(elements(), min_size=2, max_size=12), data=st.data())
+def test_a_batch_gives_each_element_what_it_gives_alone(cases, data):
+    # round-robin over the families, so that they alternate as far as their counts allow
+    families: dict[type, list] = {}
+    for case in cases:
+        families.setdefault(type(case[0]), []).append(case)
+    cases = [case for row in zip_longest(*families.values()) for case in row if case is not None]
+    laws, grid = zip(*cases)
+    columns, statuses = solve_columns(laws, grid)
+    rows = hex_rows(columns)
+    for k, (d, params) in enumerate(cases):
+        # bit for bit, signed zeros and the spread where p_exec is 0 (NaN or inf) included;
+        # solve_equilibrium's record is this one-element row
+        alone, alone_statuses = solve_columns(d, [params])
+        assert rows[k] == hex_rows(alone)[0] and statuses[k:k + 1] == alone_statuses
+    order = data.draw(st.permutations(range(len(cases))))
+    shuffled, shuffled_statuses = solve_columns([laws[k] for k in order], [grid[k] for k in order])
+    assert hex_rows(shuffled) == [rows[k] for k in order]
+    assert shuffled_statuses == [statuses[k] for k in order]
 
 
 class TestAuctionParams:
