@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec
-from .equilibrium import AuctionParams, check_alpha, solution_at, solve_columns, solve_equilibrium
+from .distributions import DistributionSpec, check_tol
+from .equilibrium import AuctionParams, check_alpha, defined_spreads, solution_at, solve_columns, solve_equilibrium
 from .errors import BracketError, ConvergenceError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
@@ -150,19 +150,20 @@ class Option(NamedTuple):
 
 
 ALL = ("solve", "sweep", "simulate", "compare-oracle")
+MODEL = ("solve", "sweep", "simulate")  # compare-oracle is fixed to U(0,1), K = 1/2, p = q = 0
 SINGLE = ("solve", "simulate")
 
 OPTIONS = (
-    Option("--dist", "dist", str, None, ALL, dict(
+    Option("--dist", "dist", str, None, MODEL, dict(
         action="append", metavar="SPEC",
         help="distribution spec: uniform:<lo>,<hi> or beta:<a>,<b>")),
-    Option("--strike", "strike", float, DEFAULT_STRIKE, ALL, dict(metavar="K")),
+    Option("--strike", "strike", float, DEFAULT_STRIKE, MODEL, dict(metavar="K")),
     Option("--alpha", "alpha", float, None, SINGLE, dict(
         metavar="A", help="upfront share of the bid, in [0,1]")),
     Option("--alpha-grid", "alpha-grid", str, "0,1,101", ("sweep", "compare-oracle"),
            dict(metavar="START,STOP,POINTS")),
-    Option("--p", "p", float, 0.0, ALL, dict(metavar="P", help="forced-execution probability")),
-    Option("--q", "q", float, 0.0, ALL, dict(metavar="Q", help="forced-failure probability")),
+    Option("--p", "p", float, 0.0, MODEL, dict(metavar="P", help="forced-execution probability")),
+    Option("--q", "q", float, 0.0, MODEL, dict(metavar="Q", help="forced-failure probability")),
     Option("--tol", "tol", float, 1e-12, ALL, dict(metavar="TOL")),
     Option("--n", "n", int, 1_000_000, ("simulate",), dict(metavar="N")),
     Option("--seed", "seed", int, 42, ("simulate",), dict(metavar="SEED")),
@@ -253,12 +254,6 @@ def _settings(ns: argparse.Namespace) -> argparse.Namespace:
     command = ns.command
     if ns.figure2 and command != "sweep":
         raise InvalidParamsError("--figure2 applies to the sweep command only")
-    if command == "compare-oracle":
-        # fixed to the case the closed forms cover
-        if ns.dist is not None and ns.dist != [DEFAULT_DIST]:
-            raise InvalidParamsError("compare-oracle is fixed to --dist uniform:0,1")
-        if ns.strike != DEFAULT_STRIKE:
-            raise InvalidParamsError("compare-oracle is fixed to --strike 0.5")
     dist_texts = ns.dist or (FIGURE2_DISTS if ns.figure2 else (DEFAULT_DIST,))
     ns.dists = tuple(DistributionSpec.parse(t) for t in dist_texts)
     if command in SINGLE:
@@ -270,6 +265,7 @@ def _settings(ns: argparse.Namespace) -> argparse.Namespace:
     ns.alpha_grid = _parse_grid(ns.alpha_grid)
     if ns.format not in ("csv", "json"):
         raise InvalidParamsError(f"format must be csv or json, got {ns.format!r}")
+    check_tol(ns.tol)  # here, not only in the solver, which simulate --bid skips
     return ns
 
 
@@ -278,7 +274,7 @@ def _solution_table(cfg, alphas) -> dict:
     grid = [AuctionParams(cfg.strike, alpha, cfg.p, cfg.q) for alpha in alphas]
     laws = [law for spec in cfg.dists for law in [spec.build()] * len(grid)]
     columns, statuses = solve_columns(laws, grid * len(cfg.dists), cfg.tol)
-    columns["effective_spread"] = np.where(columns["p_exec"] > 0.0, columns["effective_spread"], None).tolist()
+    columns["effective_spread"] = defined_spreads(columns)
     table = {"alpha": np.tile(alphas, len(cfg.dists)), **columns, "status": statuses}
     if cfg.figure2 or len(cfg.dists) > 1:
         table = {"dist": [label for label in map(str, cfg.dists) for _ in grid], **table}

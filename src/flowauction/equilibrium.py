@@ -264,12 +264,16 @@ def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> dict[str, np.n
                     revenue=revenue(batch, b, p_exec), residual=_utility(batch, b, t, F, P))
 
 
+def defined_spreads(columns: dict[str, np.ndarray]) -> list:
+    """The ``effective_spread`` column as a list, None where ``p_exec <= 0``: with
+    no execution, E[S - K | execution] is undefined."""
+    return np.where(columns["p_exec"] <= 0.0, None, columns["effective_spread"]).tolist()
+
+
 def _records(columns: dict[str, np.ndarray], statuses) -> list[EquilibriumSolution]:
-    return [
-        EquilibriumSolution(b, t, p_exec, None if p_exec <= 0.0 else spread, rev, residual, status)
-        for (b, t, p_exec, spread, rev, residual), status
-        in zip(zip(*(column.tolist() for column in columns.values())), statuses)
-    ]
+    fields = {key: column.tolist() for key, column in columns.items()}
+    fields["effective_spread"] = defined_spreads(columns)
+    return [EquilibriumSolution(*row, status) for row, status in zip(zip(*fields.values()), statuses)]
 
 
 def solution_at(d: Distribution, params: AuctionParams, b: float) -> EquilibriumSolution:

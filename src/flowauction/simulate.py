@@ -9,12 +9,12 @@ positive; ties do not execute.
 Randomness comes from numpy's PCG64 generator.  Trials run in fixed-size
 chunks whose generators are spawned deterministically from the run seed, and
 chunk aggregates are combined with exact summation (``math.fsum``), so the
-result is bit-identical for a given ``SimConfig`` no matter how many workers
-evaluate the chunks.  A simulation holds one chunk's arrays at a time.  The
-calibrator draws its one stream in windows of the chunk size and keeps only
-the trials that can execute, which :meth:`Distribution.sample`'s stream
-contract (k draws then m draws equal k + m draws) makes the same trials as
-one batch.
+result is bit-identical for a given ``SimConfig``.  The chunks run one after
+another; their seeds and sizes stay because they define the draws.  A
+simulation holds one chunk's arrays at a time.  The calibrator draws its one
+stream in windows of the chunk size and keeps only the trials that can
+execute, which :meth:`Distribution.sample`'s stream contract (k draws then m
+draws equal k + m draws) makes the same trials as one batch.
 """
 
 from __future__ import annotations
@@ -146,12 +146,7 @@ def _sample_var(sum_x: float, sum_x2: float, n: int) -> float:
     return max(0.0, (sum_x2 - n * mean * mean) / (n - 1))
 
 
-def simulate_auction(
-    d: Distribution,
-    params: AuctionParams,
-    cfg: SimConfig,
-    workers: int = 1,
-) -> SimResult:
+def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> SimResult:
     """Simulate ``cfg.n_trials`` auctions at the fixed bid ``cfg.bid``.
 
     Per trial the winner pays ``alpha * bid`` unconditionally; on execution
@@ -160,26 +155,17 @@ def simulate_auction(
     that is negative.  Revenue per trial is the total payment received by
     the auction.
 
-    ``workers`` > 1 evaluates chunks in a thread pool; results are identical
-    to the serial run.  A run holds one chunk's arrays per worker.
+    Trials run in chunks of at most ``_CHUNK``, each from its own generator
+    spawned from ``cfg.seed``; the chunk seeds and sizes define the draws, so
+    a seeded run gives the same result bit for bit.  A run holds one chunk's
+    arrays at a time.
     """
-    if not (_is_integer(workers) and workers >= 1):
-        raise InvalidParamsError(f"workers must be a positive integer, got {workers!r}")
     check_execution_right(d, params)
     n = cfg.n_trials
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     sizes = [_CHUNK] * (n_chunks - 1) + [n - _CHUNK * (n_chunks - 1)]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # imported only here: it pulls in logging
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda sm: _run_chunk(d, params, cfg.bid, sm[0], sm[1]), zip(seeds, sizes))
-            )
-    else:
-        chunks = [_run_chunk(d, params, cfg.bid, ss, m) for ss, m in zip(seeds, sizes)]
+    chunks = [_run_chunk(d, params, cfg.bid, ss, m) for ss, m in zip(seeds, sizes)]
 
     sum_gain = math.fsum(c[0] for c in chunks)
     sum_gain2 = math.fsum(c[1] for c in chunks)

@@ -210,17 +210,21 @@ class TestCompareOracle:
     def test_rejects_dist_override(self, capsys):
         code, _, err = run(capsys, "compare-oracle", "--dist", "beta:2,2")
         assert code == 2
-        assert "fixed" in err
+        assert "unrecognized arguments" in err
 
     def test_rejects_strike_override(self, capsys):
         assert run(capsys, "compare-oracle", "--strike", "0.4")[0] == 2
 
-    def test_allows_matching_values(self, capsys):
-        code, _, _ = run(
-            capsys, "compare-oracle", "--dist", "uniform:0,1", "--strike", "0.5",
-            "--alpha-grid", "0,1,3",
-        )
-        assert code == 0
+    @pytest.mark.parametrize("flag", ["--dist=uniform:0,1", "--dist=beta:2,2", "--strike=0.5",
+                                      "--strike=0.4", "--p=0", "--p=0.9", "--q=0.9"])
+    def test_takes_no_model_flag_and_ignores_its_config_key(self, capsys, tmp_path, flag):
+        # the closed forms cover U(0,1), K = 1/2, p = q = 0 only
+        argv = ("compare-oracle", "--alpha-grid", "0,1,11")
+        assert run(capsys, *argv, flag) == (2, "", f"error: unrecognized arguments: {flag}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(flag.removeprefix("--").replace("=", " = ") + "\n")
+        golden = (Path(__file__).parent / "golden" / "compare-oracle.csv").read_text(encoding="utf-8")
+        assert run(capsys, *argv, "--config", str(cfg)) == (0, golden, "")
 
     def test_json_summary(self, capsys):
         code, out, _ = run(capsys, "compare-oracle", "--alpha-grid", "0,1,5", "--format", "json")
@@ -284,6 +288,8 @@ class TestConfigAndOutput:
          "solve takes exactly one --dist"),
         ("", ["simulate", "--alpha", "0.5", "--n", "10", "--seed", "18446744073709551616"],
          "seed must be a 64-bit nonnegative integer, got 18446744073709551616"),
+        ("", ["simulate", "--dist", "uniform:0,1", "--alpha", "0.5", "--bid", "0.1", "--tol", "-1",
+              "--n", "100"], "tol must be positive, got -1.0"),
     ])
     def test_each_usage_error_is_named_in_one_line(self, capsys, tmp_path, config, argv, message):
         cfg = tmp_path / "run.cfg"
@@ -406,8 +412,8 @@ SCIPY_FREE = [
 
 
 def test_commands_without_a_beta_law_never_import_scipy():
-    # scipy.special is most of the import time, and only Beta calls it; the thread
-    # pool (concurrent.futures, which loads logging) only a simulation with workers > 1
+    # scipy.special is most of the import time, and only Beta calls it; no command
+    # runs a thread pool (concurrent.futures, which loads logging)
     script = (
         "import contextlib, io, sys\n"
         "from flowauction.cli import main\n"

@@ -41,7 +41,7 @@ def fuzz_argv(rng: random.Random) -> list[str]:
     command = rng.choice(["solve", "solve", "sweep", "sweep", "simulate", "compare-oracle"])
     argv = [command]
     if command == "compare-oracle":
-        if rng.random() < 0.1:  # the command is fixed to one law and strike
+        if rng.random() < 0.1:  # refused by compare-oracle, as --p and --q below are
             argv.append(rng.choice(["--dist=uniform:0,1", "--dist=beta:2,2", "--strike=0.5", "--strike=0.4"]))
     else:
         laws = 2 if rng.random() < (0.4 if command == "sweep" else 0.05) else 1

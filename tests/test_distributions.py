@@ -257,6 +257,8 @@ def test_quadrature_fallback_matches_closed_forms(closed):
             closed.partial_expectation(t), abs=1e-8
         )
     assert wrapped.mean() == pytest.approx(closed.mean(), abs=1e-10)
+    for t in (lo - 0.5, hi + 0.5):  # outside the support
+        assert closed.pdf(t) == wrapped.pdf(t) == 0.0
 
 
 def test_quadrature_law_accepts_unnormalized_density():

@@ -52,16 +52,6 @@ class TestSimulateAuction:
         cfg = SimConfig(n_trials=300_000, seed=7, bid=2 / 9)
         assert simulate_auction(U01, params, cfg) == simulate_auction(U01, params, cfg)
 
-    def test_parallel_equals_serial(self):
-        params = AuctionParams(strike=0.5, alpha=0.5, p=0.1, q=0.1)
-        cfg = SimConfig(n_trials=600_000, seed=3, bid=0.1)
-        assert simulate_auction(U01, params, cfg, workers=4) == simulate_auction(
-            U01, params, cfg
-        )
-        assert simulate_auction(U01, params, cfg, workers=np.int64(2)) == simulate_auction(
-            U01, params, cfg
-        )
-
     def test_empty_execution_region_is_exact(self):
         # threshold 0.5 + 0.5*1.2 = 1.1 sits above the support
         params = AuctionParams(strike=0.5, alpha=0.5)
@@ -130,12 +120,6 @@ class TestSimulateAuction:
             if abs(res.mean_utility) <= 4.0 * res.se_utility:
                 passes += 1
         assert passes >= 99
-
-    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
-    def test_workers_must_be_a_positive_integer(self, workers):
-        cfg = SimConfig(n_trials=10, seed=0, bid=0.1)
-        with pytest.raises(InvalidParamsError, match="workers must be a positive integer"):
-            simulate_auction(U01, AuctionParams(strike=0.5, alpha=0.5), cfg, workers=workers)
 
     def test_strike_above_support_rejected(self):
         with pytest.raises(InvalidParamsError):
