@@ -242,18 +242,20 @@ def _from_config(opt: Option, text):
 
 
 def _settings(ns: argparse.Namespace) -> argparse.Namespace:
-    """Merge flags, the config file and defaults into ``ns``, then validate."""
+    """Merge flags, the config file and defaults into ``ns``, then validate.
+
+    A config key is read only where the command takes its flag, so one file
+    can serve every command.
+    """
     config = _load_config_file(ns.config) if ns.config else {}
     for key, opt in _BY_KEY.items():
         dest = key.replace("-", "_")  # argparse's name for the flag's value
         value = getattr(ns, dest, None)
-        if value is None and key in config:
+        if value is None and key in config and ns.command in opt.commands:
             value = _from_config(opt, config[key])
         setattr(ns, dest, opt.default if value is None else value)
 
     command = ns.command
-    if ns.figure2 and command != "sweep":
-        raise InvalidParamsError("--figure2 applies to the sweep command only")
     dist_texts = ns.dist or (FIGURE2_DISTS if ns.figure2 else (DEFAULT_DIST,))
     ns.dists = tuple(DistributionSpec.parse(t) for t in dist_texts)
     if command in SINGLE:

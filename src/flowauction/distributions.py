@@ -199,8 +199,7 @@ class Distribution(ABC):
 
         Draws consume ``rng`` as one stream: drawing ``k`` values and then
         ``m`` more from a generator gives the same values as drawing
-        ``k + m`` at once from a generator in the same state.  The Monte
-        Carlo calibrator relies on this to draw one batch in windows.
+        ``k + m`` at once from a generator in the same state.
         """
 
 

@@ -6,20 +6,19 @@ reference price S (every trial draws one price, whichever branch it takes).
 A voluntary trial executes only when ``S - K - (1-alpha)*bid`` is strictly
 positive; ties do not execute.
 
-Randomness comes from numpy's PCG64 generator.  Trials run in fixed-size
-chunks whose generators are spawned deterministically from the run seed, and
-chunk aggregates are combined with exact summation (``math.fsum``), so the
-result is bit-identical for a given ``SimConfig``.  The chunks run one after
-another; their seeds and sizes stay because they define the draws.  A
-simulation holds one chunk's arrays at a time.  The calibrator draws its one
-stream in windows of the chunk size and keeps only the trials that can
-execute, which :meth:`Distribution.sample`'s stream contract (k draws then m
-draws equal k + m draws) makes the same trials as one batch.
+Randomness comes from numpy's PCG64 generator.  Trials are drawn in
+fixed-size chunks whose generators are spawned deterministically from the
+seed, one chunk at a time.  The simulation and the calibrator read the same
+chunks, so at one seed they play the same trials.  A simulation combines the
+chunk aggregates with exact summation (``math.fsum``), so its result is
+bit-identical for a given ``SimConfig``, and it holds one chunk's arrays at a
+time.  The calibrator keeps, of each chunk, only the trials that can execute.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,34 +82,26 @@ class SimResult:
     n_exec: int
 
 
-def _trials(d: Distribution, params: AuctionParams, seed_seq: np.random.SeedSequence, n: int):
-    """Draw ``n`` seeded trials from one generator: ``n`` branch uniforms, then ``n`` prices S.
+def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
+    """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own generator.
 
-    Yields, for each window of at most ``_CHUNK`` trials in turn, the
-    window's ``x = S - K``, the mask of trials whose execution is forced and
-    the mask of those where the winner decides.  Both draws run window by
-    window, which gives the draws of one batch (see
-    :meth:`Distribution.sample`); the uniforms are not kept, so the run holds
-    2 bytes per trial and one window's prices.
+    The chunk generators are spawned from ``seed``.  A chunk of ``m`` trials
+    draws ``m`` branch uniforms, then ``m`` prices S, and is yielded as its
+    ``x = S - K``, the mask of trials whose execution is forced and the mask
+    of those where the winner decides.  The chunk seeds and sizes define the
+    draws, so a seed gives every caller the same trials.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    windows = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    forced, voluntary = np.empty(n, bool), np.empty(n, bool)
-    for w in windows:
-        u = rng.random(w.stop - w.start)
-        np.less(u, params.p, out=forced[w])
-        np.greater_equal(u, params.p + params.q, out=voluntary[w])
-    del u
-    for w in windows:
-        # no name here holds a window's x, so it is freed as soon as the caller drops it
-        yield _draw_x(d, params, rng, w.stop - w.start), forced[w], voluntary[w]
-
-
-def _draw_x(d: Distribution, params: AuctionParams, rng: np.random.Generator, m: int) -> np.ndarray:
-    """``m`` prices S drawn from ``rng``, less the strike: each trial's ``x = S - K``."""
-    x = d.sample(rng, size=m)
-    x -= params.strike
-    return x
+    seeds = np.random.SeedSequence(seed).spawn((n + _CHUNK - 1) // _CHUNK)
+    for lo, seed_seq in zip(range(0, n, _CHUNK), seeds):
+        rng = np.random.Generator(np.random.PCG64(seed_seq))
+        m = min(_CHUNK, n - lo)
+        u = rng.random(m)
+        forced, voluntary = u < params.p, u >= params.p + params.q
+        del u
+        x = d.sample(rng, size=m)
+        x -= params.strike
+        yield x, forced, voluntary
+        del x, forced, voluntary  # only the caller holds a chunk while the next one is drawn
 
 
 def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
@@ -123,8 +114,8 @@ def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray
     return executed, gain
 
 
-def _run_chunk(d, params, bid, seed_seq, m):
-    (x, forced, voluntary), = _trials(d, params, seed_seq, m)
+def _moments(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
+    """One chunk's sums of gain and squared gain, executed count, and sums of spread and squared spread."""
     executed, gain = _settle(params, bid, x, forced, voluntary)
     sum_gain = float(gain.sum())
     sum_gain2 = float(np.multiply(gain, gain, out=gain).sum())
@@ -155,23 +146,16 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     that is negative.  Revenue per trial is the total payment received by
     the auction.
 
-    Trials run in chunks of at most ``_CHUNK``, each from its own generator
-    spawned from ``cfg.seed``; the chunk seeds and sizes define the draws, so
-    a seeded run gives the same result bit for bit.  A run holds one chunk's
-    arrays at a time.
+    The trials are :func:`_chunks` of ``cfg.seed``, the ones the calibrator
+    reads at that seed; a seeded run gives the same result bit for bit.  A
+    run holds one chunk's arrays at a time.
     """
     check_execution_right(d, params)
     n = cfg.n_trials
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    sizes = [_CHUNK] * (n_chunks - 1) + [n - _CHUNK * (n_chunks - 1)]
-    chunks = [_run_chunk(d, params, cfg.bid, ss, m) for ss, m in zip(seeds, sizes)]
-
-    sum_gain = math.fsum(c[0] for c in chunks)
-    sum_gain2 = math.fsum(c[1] for c in chunks)
-    n_exec = sum(c[2] for c in chunks)
-    sum_spread = math.fsum(c[3] for c in chunks)
-    sum_spread2 = math.fsum(c[4] for c in chunks)
+    moments = itertools.starmap(functools.partial(_moments, params, cfg.bid), _chunks(d, params, cfg.seed, n))
+    gains, gains2, n_execs, spreads, spreads2 = zip(*moments)
+    sum_gain, sum_gain2, sum_spread, sum_spread2 = map(math.fsum, (gains, gains2, spreads, spreads2))
+    n_exec = sum(n_execs)
 
     mean_gain = sum_gain / n
     mean_utility = mean_gain - params.alpha * cfg.bid
@@ -272,10 +256,12 @@ def calibrate_zero_profit_bid(
     function of the bid.  Its zero crossing is found exactly, from the
     forced trials' gain sum and count and the sorted gains of the voluntary
     trials that execute at some bid >= 0 (see :func:`_zero_profit_bid`); it
-    is 0 when the utility at b = 0 is already nonpositive.  The batch is
-    drawn window by window (see :func:`_trials`) and only the trials that
-    can execute are kept, so a run holds 2 bytes per trial plus 8 bytes per
-    trial with ``x > 0`` or a forced execution.  Requires
+    is 0 when the utility at b = 0 is already nonpositive.  The batch is the
+    :func:`_chunks` of ``seed``, so :func:`simulate_auction` at the same
+    seed and ``n_per_eval`` trials plays the same trials.  Of each chunk only
+    the trials that can execute are kept, so a run holds 8 bytes per trial
+    with ``x > 0`` or a forced execution, and the prices and 2 bytes of
+    branch masks per trial of one chunk only.  Requires
     ``alpha > 0`` or ``p > 0`` so that the crossing is strict.  Raises
     :class:`ConvergenceError` when the upper bid bracket (see
     :func:`upper_bid_bracket`) or a sum of trial gains overflows.
@@ -288,7 +274,6 @@ def calibrate_zero_profit_bid(
     _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
     check_execution_right(d, params)
     upper_bid_bracket(d, params)  # no float bid reaching the support top: refused as the solver refuses it
-    # starmap lets go of each window before the next is drawn, where a loop variable would hold it
-    windows = _trials(d, params, np.random.SeedSequence(seed), n_per_eval)
-    pieces = list(itertools.starmap(_executable, windows))
+    # starmap lets go of each chunk before the next is drawn, where a loop variable would hold it
+    pieces = itertools.starmap(_executable, _chunks(d, params, seed, n_per_eval))
     return _zero_profit_bid(params, n_per_eval, *(np.concatenate(p) for p in zip(*pieces)))

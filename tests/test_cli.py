@@ -216,9 +216,11 @@ class TestCompareOracle:
         assert run(capsys, "compare-oracle", "--strike", "0.4")[0] == 2
 
     @pytest.mark.parametrize("flag", ["--dist=uniform:0,1", "--dist=beta:2,2", "--strike=0.5",
-                                      "--strike=0.4", "--p=0", "--p=0.9", "--q=0.9"])
+                                      "--strike=0.4", "--p=0", "--p=0.9", "--q=0.9", "--p=abc",
+                                      "--dist=gamma:1,2"])
     def test_takes_no_model_flag_and_ignores_its_config_key(self, capsys, tmp_path, flag):
-        # the closed forms cover U(0,1), K = 1/2, p = q = 0 only
+        # the closed forms cover U(0,1), K = 1/2, p = q = 0 only; a key the command
+        # does not read is not checked either
         argv = ("compare-oracle", "--alpha-grid", "0,1,11")
         assert run(capsys, *argv, flag) == (2, "", f"error: unrecognized arguments: {flag}\n")
         cfg = tmp_path / "run.cfg"
@@ -296,10 +298,13 @@ class TestConfigAndOutput:
         cfg.write_text(config)
         assert run(capsys, *argv, "--config", str(cfg)) == (2, "", f"error: {message.format(cfg=cfg)}\n")
 
-    def test_figure2_outside_sweep_exits_2(self, capsys, tmp_path):
+    def test_a_figure2_key_leaves_solve_as_it_is(self, capsys, tmp_path):
+        # only sweep declares --figure2, so solve does not read the key
         cfg = tmp_path / "run.cfg"
         cfg.write_text("figure2 = true\n")
-        assert run(capsys, "solve", "--alpha", "1", "--config", str(cfg))[0] == 2
+        plain = run(capsys, "solve", "--alpha", "1")
+        assert plain[0] == 0
+        assert run(capsys, "solve", "--alpha", "1", "--config", str(cfg)) == plain
 
 
 class TestExitContract:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flowauction import (
     AuctionParams,
@@ -12,6 +12,7 @@ from flowauction import (
     ConvergenceError,
     InvalidParamsError,
     SimConfig,
+    SimResult,
     Uniform,
     calibrate_zero_profit_bid,
     effective_spread,
@@ -21,8 +22,7 @@ from flowauction import (
     simulate_auction,
     solve_equilibrium,
 )
-from flowauction import simulate
-from flowauction.simulate import _executable, _settle, _trials, _zero_profit_bid
+from flowauction.simulate import _chunks, _executable, _settle, _zero_profit_bid
 
 U01 = Uniform(0.0, 1.0)
 
@@ -183,11 +183,11 @@ class TestCalibration:
     # bids calibrated from 200,000 trials of seed 42 by the search on the direct mean of
     # each bid's trial gains; the sorted table sums them in another order
     @pytest.mark.parametrize("d, params, bid", [
-        (U01, AuctionParams(0.5, 0.5), 0.1713642486799053),
-        (U01, AuctionParams(0.5, 0.5, 0.2, 0.1), 0.11406823213846301),
-        (U01, AuctionParams(0.5, 1.0), 0.12482231357753538),
-        (Beta(2.0, 5.0), AuctionParams(0.5, 0.5), 0.018249553327451887),
-        (Beta(2.0, 5.0), AuctionParams(0.5, 1.0), 0.01008126885407113),
+        (U01, AuctionParams(0.5, 0.5), 0.1715486057989436),
+        (U01, AuctionParams(0.5, 0.5, 0.2, 0.1), 0.11473276027135758),
+        (U01, AuctionParams(0.5, 1.0), 0.12492703604057886),
+        (Beta(2.0, 5.0), AuctionParams(0.5, 0.5), 0.018131764486610073),
+        (Beta(2.0, 5.0), AuctionParams(0.5, 1.0), 0.010014189202933566),
         (Beta(2.0, 5.0), AuctionParams(0.5, 0.5, 0.2, 0.1), 0.0),
     ])
     def test_calibrated_bids_match_the_direct_search(self, d, params, bid):
@@ -196,8 +196,8 @@ class TestCalibration:
 
 
 # ---------------------------------------------------------------------------
-# the one-batch draws and full-size kernel that the windowed, in-place ones
-# must reproduce bit for bit
+# the draws and kernel, with a new array for every step, that the chunked,
+# in-place ones must reproduce bit for bit
 # ---------------------------------------------------------------------------
 
 def reference_trials(d, params, seed_seq, m):
@@ -208,9 +208,15 @@ def reference_trials(d, params, seed_seq, m):
     return x, u < params.p, u >= params.p + params.q
 
 
-def reference_run_chunk(d, params, bid, seed_seq, m):
-    """One chunk's moments, with a new array for every step."""
-    x, forced, voluntary = reference_trials(d, params, seed_seq, m)
+def reference_chunks(d, params, seed, n):
+    """The ``n`` trials of ``seed``: chunks of 2^18 trials and a last one, each from its own spawned seed."""
+    sizes = [min(2**18, n - lo) for lo in range(0, n, 2**18)]
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [reference_trials(d, params, ss, m) for ss, m in zip(seeds, sizes)]
+
+
+def reference_moments(params, bid, x, forced, voluntary):
+    """One chunk's sums of gain and squared gain, executed count, and sums of spread and squared spread."""
     gain_if_exec = x - (1.0 - params.alpha) * bid
     executed = forced | (voluntary & (gain_if_exec > 0.0))
     gain = np.where(executed, gain_if_exec, 0.0)
@@ -224,9 +230,37 @@ def reference_run_chunk(d, params, bid, seed_seq, m):
     )
 
 
+def reference_simulate(d, params, cfg):
+    """The simulation's estimates from the exactly summed moments of the reference chunks."""
+    chunks = [reference_moments(params, cfg.bid, *c) for c in reference_chunks(d, params, cfg.seed, cfg.n_trials)]
+    sum_gain, sum_gain2, sum_spread, sum_spread2 = (math.fsum(c[i] for c in chunks) for i in (0, 1, 3, 4))
+    n, n_exec, alpha, bid = cfg.n_trials, sum(c[2] for c in chunks), params.alpha, cfg.bid
+
+    def se(total, total2, k):
+        """The standard error of a mean of ``k`` values, from their sum and sum of squares."""
+        if k < 2:
+            return 0.0
+        mean = total / k
+        return math.sqrt(max(0.0, (total2 - k * mean * mean) / (k - 1)) / k)
+
+    exec_rate = n_exec / n
+    se_exec = math.sqrt((n * exec_rate * (1.0 - exec_rate) / (n - 1) if n > 1 else 0.0) / n)
+    return SimResult(
+        mean_utility=sum_gain / n - alpha * bid,
+        se_utility=se(sum_gain, sum_gain2, n),
+        exec_rate=exec_rate,
+        se_exec=se_exec,
+        mean_revenue=bid * (alpha + (1.0 - alpha) * exec_rate),
+        se_revenue=abs((1.0 - alpha) * bid) * se_exec,
+        mean_spread_given_exec=sum_spread / n_exec if n_exec else None,
+        se_spread=se(sum_spread, sum_spread2, n_exec),
+        n_exec=n_exec,
+    )
+
+
 def reference_calibrate(d, params, n, seed):
-    """The zero-profit bid read from one batch of ``n`` trials held whole."""
-    x, forced, voluntary = reference_trials(d, params, np.random.SeedSequence(seed), n)
+    """The zero-profit bid read from the reference chunks' ``n`` trials held whole."""
+    x, forced, voluntary = (np.concatenate(v) for v in zip(*reference_chunks(d, params, seed, n)))
     return _zero_profit_bid(params, n, x[forced], np.sort(x[voluntary & (x > 0.0)]))
 
 
@@ -242,16 +276,14 @@ REFERENCE_LAWS = [
                          ids=["uniform", "beta-2-5", "beta-0.5-0.5", "shifted"])
 @pytest.mark.parametrize("alpha, p, q", [(0.5, 0.0, 0.0), (0.5, 0.2, 0.1), (1.0, 0.0, 0.0)])
 @pytest.mark.parametrize("n", [2, 2**18 - 1, 2**18, 2**18 + 1, 10**6])
-class TestWindowedDrawsMatchOneBatch:
+class TestChunksMatchTheReference:
     def test_calibration(self, d, strike, bid, alpha, p, q, n):
         params = AuctionParams(strike, alpha, p, q)
         assert calibrate_zero_profit_bid(d, params, n, 5) == reference_calibrate(d, params, n, 5)
 
-    def test_simulation(self, d, strike, bid, alpha, p, q, n, monkeypatch):
+    def test_simulation(self, d, strike, bid, alpha, p, q, n):
         params, cfg = AuctionParams(strike, alpha, p, q), SimConfig(n_trials=n, seed=5, bid=bid)
-        got = simulate_auction(d, params, cfg)
-        monkeypatch.setattr(simulate, "_run_chunk", reference_run_chunk)
-        assert got == simulate_auction(d, params, cfg)
+        assert simulate_auction(d, params, cfg) == reference_simulate(d, params, cfg)
 
 
 def test_calibration_holds_the_executable_trials_not_the_batch():
@@ -268,8 +300,8 @@ def test_calibration_holds_the_executable_trials_not_the_batch():
 
 
 @st.composite
-def trial_batches(draw):
-    """A law, auction parameters, a small seeded batch of trials and bids to read it at."""
+def laws_and_params(draw):
+    """A Uniform or Beta law and auction parameters, with the strike anywhere near the support."""
     if draw(st.booleans()):
         lo = draw(st.floats(-100.0, 100.0))
         d = Uniform(lo, lo + draw(st.floats(1e-3, 100.0)))
@@ -281,9 +313,15 @@ def trial_batches(draw):
     alpha = draw(st.sampled_from([1.0, 0.5, 0.75, 0.875]) | st.floats(0.0, 1.0, exclude_min=True))
     p = draw(st.floats(0.0, 1.0))
     q = draw(st.floats(0.0, 1.0 - p))
-    params = AuctionParams(strike, alpha, p, q)
-    (x, forced, voluntary), = _trials(d, params, np.random.SeedSequence(draw(st.integers(0, 2**64 - 1))),
-                                      draw(st.integers(2, 64)))
+    return d, AuctionParams(strike, alpha, p, q)
+
+
+@st.composite
+def trial_batches(draw):
+    """A law, auction parameters, a small seeded batch of trials and bids to read it at."""
+    d, params = draw(laws_and_params())
+    lo, hi, alpha = d.support.lo, d.support.hi, params.alpha
+    (x, forced, voluntary), = _chunks(d, params, draw(st.integers(0, 2**64 - 1)), draw(st.integers(2, 64)))
     # the batch repeated, so that trials tie with each other
     repeats = draw(st.integers(1, 3))
     x, forced, voluntary = (np.tile(v, repeats) for v in (x, forced, voluntary))
@@ -329,3 +367,20 @@ def test_the_exact_root_is_a_crossing_of_the_direct_mean(batch):
     for bid in below:
         utility, tol = utility_and_bound(bid)
         assert utility >= -tol
+
+
+@settings(deadline=None)
+@given(law=laws_and_params(), n=st.integers(2, 2**18 + 1), seed=st.integers(0, 2**64 - 1))
+@example(law=(U01, AuctionParams(0.5, 0.5)), n=10**6, seed=42)
+@example(law=(Beta(2.0, 5.0), AuctionParams(0.5, 0.5)), n=10**6, seed=42)
+def test_the_calibrated_bid_breaks_even_on_the_trials_of_its_seed(law, n, seed):
+    d, params = law
+    assume(params.strike < d.support.hi or params.p > 0.0)  # else the execution right is worthless
+    bid = calibrate_zero_profit_bid(d, params, n, seed)
+    utility = simulate_auction(d, params, SimConfig(n_trials=n, seed=seed, bid=bid)).mean_utility
+    scale = max(abs(d.support.lo), abs(d.support.hi), abs(params.strike)) + abs(bid)
+    tol = 16 * sys.float_info.epsilon * scale
+    if bid > 0.0:
+        assert abs(utility) <= tol
+    else:  # the utility at 0 is already nonpositive
+        assert utility <= tol
