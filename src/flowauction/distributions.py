@@ -263,7 +263,6 @@ class Beta(Distribution):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._shapes = np.array([[self.a], [self.b]])
         self._support = SupportInterval(0.0, 1.0)
 
     @classmethod
@@ -272,7 +271,7 @@ class Beta(Distribution):
         those of a valid law: ``cdf`` and ``partial_expectation`` read ``x[k]``
         under column ``k``, as their formulas broadcast."""
         law = cls.__new__(cls)
-        law.a, law.b = law._shapes = shapes
+        law.a, law.b = shapes
         return law
 
     def __repr__(self):
@@ -288,8 +287,8 @@ class Beta(Distribution):
             # exact there; betainc(0.5, 0.5, 1 - 2**-53) itself is 2.8e-9 low.
             # The argument, clamped at 0, gives 0 below the support and 1 above
             upper = x > 0.5
-            shapes = np.where(upper, self._shapes[::-1], self._shapes)
-            i = _special().betainc(shapes[0], shapes[1], np.maximum(np.minimum(x, 1.0 - x), 0.0))
+            a, b = np.where(upper, self.b, self.a), np.where(upper, self.a, self.b)
+            i = _special().betainc(a, b, np.maximum(np.minimum(x, 1.0 - x), 0.0))
             return np.where(upper, 1.0 - i, i)
 
         return _elementwise(x, cdf)
@@ -451,6 +450,9 @@ class QuadratureDistribution(Distribution):
 # Spec strings:  uniform:<lo>,<hi>  |  beta:<a>,<b>
 # ---------------------------------------------------------------------------
 
+_KINDS = {"uniform": Uniform, "beta": Beta}  # a spec's kind, and the law its two parameters build
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Parsed form of a distribution string like ``uniform:0,1`` or ``beta:2,5``."""
@@ -463,7 +465,7 @@ class DistributionSpec:
         if any(ch.isspace() for ch in text):
             raise InvalidParamsError(f"distribution spec must not contain whitespace: {text!r}")
         kind, sep, rest = text.partition(":")
-        if not sep or kind not in ("uniform", "beta"):
+        if not sep or kind not in _KINDS:
             raise InvalidParamsError(
                 f"unknown distribution spec {text!r} (expected uniform:<lo>,<hi> or beta:<a>,<b>)"
             )
@@ -486,13 +488,9 @@ class DistributionSpec:
 
     @cached_property
     def _law(self) -> Distribution:
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return Uniform(lo, hi)
-        if self.kind == "beta":
-            a, b = self.params
-            return Beta(a, b)
-        raise InvalidParamsError(f"unknown distribution kind {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise InvalidParamsError(f"unknown distribution kind {self.kind!r}")
+        return _KINDS[self.kind](*self.params)
 
     def __str__(self):
         return f"{self.kind}:" + ",".join(format(p, ".12g") for p in self.params)

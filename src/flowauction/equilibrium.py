@@ -41,8 +41,7 @@ __all__ = [
     "solve_equilibrium",
     "solve_equilibria",
     "solve_columns",
-    "execution_probability",
-    "effective_spread",
+    "solution_at",
     "revenue",
 ]
 
@@ -194,16 +193,6 @@ def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
     profitability.
     """
     return solution_at(d, params, b).residual
-
-
-def execution_probability(d: Distribution, params: AuctionParams, b_star: float) -> float:
-    """P(execution) at bid ``b_star``: forced mass plus the voluntary tail."""
-    return solution_at(d, params, b_star).p_exec
-
-
-def effective_spread(d: Distribution, params: AuctionParams, b_star: float) -> float | None:
-    """E[S - K | execution] at bid ``b_star``; None when P(execution) = 0."""
-    return solution_at(d, params, b_star).effective_spread
 
 
 def revenue(params: AuctionParams, b_star: float, p_exec: float) -> float:

@@ -85,15 +85,15 @@ class SimResult:
 def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
     """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own generator.
 
-    The chunk generators are spawned from ``seed``.  A chunk of ``m`` trials
-    draws ``m`` branch uniforms, then ``m`` prices S, and is yielded as its
-    ``x = S - K``, the mask of trials whose execution is forced and the mask
-    of those where the winner decides.  The chunk seeds and sizes define the
-    draws, so a seed gives every caller the same trials.
+    Chunk ``k`` draws from child ``k`` of ``SeedSequence(seed)``, spawned as it is
+    drawn.  A chunk of ``m`` trials draws ``m`` branch uniforms, then ``m`` prices
+    S, and is yielded as its ``x = S - K``, the mask of trials whose execution is
+    forced and the mask of those where the winner decides.  The chunk seeds and
+    sizes define the draws, so a seed gives every caller the same trials.
     """
-    seeds = np.random.SeedSequence(seed).spawn((n + _CHUNK - 1) // _CHUNK)
-    for lo, seed_seq in zip(range(0, n, _CHUNK), seeds):
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
+    root = np.random.SeedSequence(seed)
+    for lo in range(0, n, _CHUNK):
+        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # the next child of root
         m = min(_CHUNK, n - lo)
         u = rng.random(m)
         forced, voluntary = u < params.p, u >= params.p + params.q

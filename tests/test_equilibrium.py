@@ -16,8 +16,6 @@ from flowauction import (
     SolutionStatus,
     SupportInterval,
     Uniform,
-    effective_spread,
-    execution_probability,
     expected_utility,
     option_value,
     revenue,
@@ -239,19 +237,16 @@ class TestSolveEquilibrium:
     @pytest.mark.parametrize("d", [U01, Beta(2.0, 5.0), Beta(0.5, 0.5), Uniform(-1.0, 2.0),
                                    QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))])
     def test_solution_fields_match_the_public_functions(self, d):
-        # a record reads the law once at its bid; each field must equal its own function
-        # exactly, at b* and at bids off the equilibrium
+        # a record reads the law once at its bid; its utility and revenue must equal
+        # their own functions exactly, at b* and at bids off the equilibrium
         for strike, alpha, p, q in [(0.3, 0.0, 0.0, 0.0), (0.3, 0.4, 0.0, 0.0), (0.3, 1.0, 0.0, 0.0),
                                     (0.3, 0.4, 0.2, 0.1), (0.8, 0.5, 0.5, 0.2), (0.5, 0.5, 0.0, 1.0)]:
             params = AuctionParams(strike, alpha, p, q)
             solved = solve_equilibrium(d, params)
             for sol in (solved, solution_at(d, params, 0.5 * solved.b_star),
                         solution_at(d, params, solved.b_star + 0.05)):
-                p_exec = execution_probability(d, params, sol.b_star)
                 assert sol.residual == expected_utility(d, params, sol.b_star)
-                assert sol.p_exec == p_exec
-                assert sol.effective_spread == effective_spread(d, params, sol.b_star)
-                assert sol.revenue == revenue(params, sol.b_star, p_exec)
+                assert sol.revenue == revenue(params, sol.b_star, sol.p_exec)
 
     def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
         # wrapped the way bench/spans.py wraps the laws; the 4 laws' grids are one
@@ -558,23 +553,23 @@ class TestAuctionParams:
 
 class TestMetrics:
     def test_execution_probability_values(self):
-        assert execution_probability(U01, AuctionParams(0.5, 1.0), 0.125) == pytest.approx(
+        assert solution_at(U01, AuctionParams(0.5, 1.0), 0.125).p_exec == pytest.approx(
             0.5, abs=1e-15
         )
-        assert execution_probability(U01, AuctionParams(0.5, 0.25), 2 / 9) == pytest.approx(
+        assert solution_at(U01, AuctionParams(0.5, 0.25), 2 / 9).p_exec == pytest.approx(
             1 / 3, abs=1e-15
         )
-        assert execution_probability(U01, AuctionParams(0.5, 0.3, p=1.0), 0.4) == 1.0
+        assert solution_at(U01, AuctionParams(0.5, 0.3, p=1.0), 0.4).p_exec == 1.0
 
     def test_effective_spread_values(self):
-        assert effective_spread(U01, AuctionParams(0.5, 1.0), 0.125) == pytest.approx(
+        assert solution_at(U01, AuctionParams(0.5, 1.0), 0.125).effective_spread == pytest.approx(
             0.25, abs=1e-12
         )
         # 1/4 + (1 - alpha) b / 2 for the uniform law
-        assert effective_spread(U01, AuctionParams(0.5, 0.25), 2 / 9) == pytest.approx(
+        assert solution_at(U01, AuctionParams(0.5, 0.25), 2 / 9).effective_spread == pytest.approx(
             1 / 3, abs=1e-12
         )
-        assert effective_spread(U01, AuctionParams(0.5, 0.0), 0.5) is None
+        assert solution_at(U01, AuctionParams(0.5, 0.0), 0.5).effective_spread is None
 
     def test_revenue_values(self):
         assert revenue(AuctionParams(0.5, 1.0), 0.125, 0.5) == pytest.approx(0.125, abs=1e-15)

@@ -15,11 +15,10 @@ from flowauction import (
     SimResult,
     Uniform,
     calibrate_zero_profit_bid,
-    effective_spread,
-    execution_probability,
     expected_utility,
     revenue,
     simulate_auction,
+    solution_at,
     solve_equilibrium,
 )
 from flowauction.simulate import _chunks, _executable, _settle, _zero_profit_bid
@@ -103,12 +102,10 @@ class TestSimulateAuction:
         # a negative bid pays the bidder, but a standard error is never negative
         assert min(res.se_utility, res.se_exec, res.se_revenue, res.se_spread) >= 0.0
         assert abs(z(res.mean_utility, expected_utility(U01, params, bid), res.se_utility)) <= 4.0
-        p_exec = execution_probability(U01, params, bid)
-        assert abs(z(res.exec_rate, p_exec, res.se_exec)) <= 4.0
-        assert abs(z(res.mean_revenue, revenue(params, bid, p_exec), res.se_revenue)) <= 4.0
-        assert abs(
-            z(res.mean_spread_given_exec, effective_spread(U01, params, bid), res.se_spread)
-        ) <= 4.0
+        at = solution_at(U01, params, bid)
+        assert abs(z(res.exec_rate, at.p_exec, res.se_exec)) <= 4.0
+        assert abs(z(res.mean_revenue, revenue(params, bid, at.p_exec), res.se_revenue)) <= 4.0
+        assert abs(z(res.mean_spread_given_exec, at.effective_spread, res.se_spread)) <= 4.0
 
     def test_mean_utility_unbiased_across_seeds(self):
         # per-seed z-check; the count of |z| > 4 events should be ~0 out of 100
