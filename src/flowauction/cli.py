@@ -212,7 +212,7 @@ def _load_config_file(path: str) -> dict:
     out: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParamsError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, such as a huge --alpha-grid
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
     except (BracketError, ConvergenceError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -261,6 +261,8 @@ class Beta(Distribution):
     def __init__(self, a: float, b: float):
         if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
+        if not math.isfinite(a + b):  # the mean and the cdf both read a + b
+            raise InvalidParamsError(f"Beta shapes must have a finite sum, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         self._support = SupportInterval(0.0, 1.0)

@@ -292,10 +292,12 @@ class TestConfigAndOutput:
          "seed must be a 64-bit nonnegative integer, got 18446744073709551616"),
         ("", ["simulate", "--dist", "uniform:0,1", "--alpha", "0.5", "--bid", "0.1", "--tol", "-1",
               "--n", "100"], "tol must be positive, got -1.0"),
+        (b"\xff\n", ["solve", "--alpha", "0.5"], "cannot read config file {cfg}: 'utf-8' codec can't "
+         "decode byte 0xff in position 0: invalid start byte"),
     ])
     def test_each_usage_error_is_named_in_one_line(self, capsys, tmp_path, config, argv, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
         assert run(capsys, *argv, "--config", str(cfg)) == (2, "", f"error: {message.format(cfg=cfg)}\n")
 
     def test_a_figure2_key_leaves_solve_as_it_is(self, capsys, tmp_path):
@@ -327,6 +329,19 @@ class TestExitContract:
         code, out, err = run(capsys, "solve", "--dist", "uniform:-1e308,1e308", "--alpha", "0.5")
         assert (code, out) == (2, "")
         assert err == "error: support width must be finite, got [-1e+308, 1e+308]\n"
+
+    def test_beta_shapes_whose_sum_overflows_exit_2(self, capsys):
+        # their mean a / (a + b) was 0, so the solver failed with exit 3
+        assert run(capsys, "solve", "--dist", "beta:1e308,1e308", "--alpha", "0.5") == (
+            2, "", "error: Beta shapes must have a finite sum, got a=1e+308, b=1e+308\n")
+
+    def test_an_alpha_grid_too_large_to_hold_exits_2(self, capsys, monkeypatch):
+        def linspace(*args):
+            raise MemoryError("Unable to allocate 745. GiB")  # as numpy raises it, without the allocation
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        assert run(capsys, "sweep", "--alpha-grid", "0,1,100000000000") == (
+            2, "", "error: out of memory (Unable to allocate 745. GiB)\n")
 
     def test_a_huge_uniform_support_solves(self, capsys):
         code, out, err = run(capsys, "solve", "--dist", "uniform:0,1e160", "--alpha", "0.5", "--strike=0",

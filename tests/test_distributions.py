@@ -179,6 +179,8 @@ class TestBeta:
             Beta(0.0, 1.0)
         with pytest.raises(InvalidParamsError):
             Beta(2.0, -3.0)
+        with pytest.raises(InvalidParamsError):
+            Beta(1e308, 1e308)  # a + b overflows, so the mean would be 0
 
 
 @pytest.mark.parametrize("law", [Uniform(-1.0, 3.0), Beta(2.0, 5.0),
