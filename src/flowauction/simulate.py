@@ -93,7 +93,7 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
     """
     root = np.random.SeedSequence(seed)
     for lo in range(0, n, _CHUNK):
-        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # the next child of root
+        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
         m = min(_CHUNK, n - lo)
         u = rng.random(m)
         forced, voluntary = u < params.p, u >= params.p + params.q
