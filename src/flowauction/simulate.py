@@ -89,15 +89,25 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
     drawn.  A chunk of ``m`` trials draws ``m`` branch uniforms, then ``m`` prices
     S, and is yielded as its ``x = S - K``, the mask of trials whose execution is
     forced and the mask of those where the winner decides.  The chunk seeds and
-    sizes define the draws, so a seed gives every caller the same trials.
+    sizes define the draws, so a seed gives every caller the same trials.  At
+    ``p = q = 0`` the uniforms decide nothing: the generator is advanced past
+    them instead (``Generator.random`` takes one 64-bit PCG64 output per
+    float), so the prices are the same, and the masks are constant.
     """
     root = np.random.SeedSequence(seed)
+    p, q = params.p, params.q
+    if p == q == 0.0:
+        never, always = np.zeros(min(_CHUNK, n), bool), np.ones(min(_CHUNK, n), bool)
     for lo in range(0, n, _CHUNK):
         rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
         m = min(_CHUNK, n - lo)
-        u = rng.random(m)
-        forced, voluntary = u < params.p, u >= params.p + params.q
-        del u
+        if p == q == 0.0:
+            rng.bit_generator.advance(m)
+            forced, voluntary = never[:m], always[:m]
+        else:
+            u = rng.random(m)
+            forced, voluntary = u < p, u >= p + q
+            del u
         x = d.sample(rng, size=m)
         x -= params.strike
         yield x, forced, voluntary
@@ -110,7 +120,13 @@ def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray
     executed = gain > 0.0
     executed &= voluntary
     executed |= forced
-    np.copyto(gain, 0.0, where=~executed)
+    # masked copies mispredict on a random mask; a product by the mask does
+    # not, and it leaves -0.0 where a gain was negative and NaN where it was
+    # infinite or NaN, which the two steps after it set to 0
+    with np.errstate(invalid="ignore"):
+        gain *= executed
+    gain += 0.0
+    np.copyto(gain, 0.0, where=np.isnan(gain) & ~executed)
     return executed, gain
 
 
@@ -119,7 +135,7 @@ def _moments(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarra
     executed, gain = _settle(params, bid, x, forced, voluntary)
     sum_gain = float(gain.sum())
     sum_gain2 = float(np.multiply(gain, gain, out=gain).sum())
-    spread = x[executed]
+    spread = np.compress(executed, x)
     # x is spent once the spread is taken; its head holds the squares
     return (
         sum_gain,

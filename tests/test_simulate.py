@@ -11,6 +11,7 @@ from flowauction import (
     Beta,
     ConvergenceError,
     InvalidParamsError,
+    QuadratureDistribution,
     SimConfig,
     SimResult,
     Uniform,
@@ -21,7 +22,7 @@ from flowauction import (
     solution_at,
     solve_equilibrium,
 )
-from flowauction.simulate import _chunks, _executable, _settle, _zero_profit_bid
+from flowauction.simulate import _chunks, _executable, _moments, _settle, _zero_profit_bid
 
 U01 = Uniform(0.0, 1.0)
 
@@ -212,11 +213,16 @@ def reference_chunks(d, params, seed, n):
     return [reference_trials(d, params, ss, m) for ss, m in zip(seeds, sizes)]
 
 
-def reference_moments(params, bid, x, forced, voluntary):
-    """One chunk's sums of gain and squared gain, executed count, and sums of spread and squared spread."""
+def reference_settle(params, bid, x, forced, voluntary):
+    """Each trial's execution indicator and gain, the gain set to 0 by a masked copy where it does not execute."""
     gain_if_exec = x - (1.0 - params.alpha) * bid
     executed = forced | (voluntary & (gain_if_exec > 0.0))
-    gain = np.where(executed, gain_if_exec, 0.0)
+    return executed, np.where(executed, gain_if_exec, 0.0)
+
+
+def reference_moments(params, bid, x, forced, voluntary):
+    """One chunk's sums of gain and squared gain, executed count, and sums of spread and squared spread."""
+    executed, gain = reference_settle(params, bid, x, forced, voluntary)
     spread = x[executed]
     return (
         float(gain.sum()),
@@ -281,6 +287,87 @@ class TestChunksMatchTheReference:
     def test_simulation(self, d, strike, bid, alpha, p, q, n):
         params, cfg = AuctionParams(strike, alpha, p, q), SimConfig(n_trials=n, seed=5, bid=bid)
         assert simulate_auction(d, params, cfg) == reference_simulate(d, params, cfg)
+
+
+def branches(xs, kinds):
+    """A hand-made chunk: the prices less the strike, and each trial's branch,
+    ``F`` forced, ``V`` voluntary or ``Q`` a forced failure."""
+    kinds = np.array(list(kinds))
+    return np.array(xs, float), kinds == "F", kinds == "V"
+
+
+NAN = math.nan
+# (law, params, bid, n) chunks drawn by _chunks at seed 3, or (params, bid, chunk) made by hand
+KERNEL_CASES = {
+    # x - bid overflows to -inf below x = -7.98e307: forced trials execute at -inf,
+    # the others do not, and their zeroed gain must not be -inf * 0 = NaN
+    "minus-inf-gains": (Uniform(-1e308, 1e307), AuctionParams(0.0, 0.0, 0.3, 0.3), 1e308, 2000),
+    # x + 1e308 overflows to +inf: forced and voluntary trials execute at +inf, forced failures do not
+    "plus-inf-gains": (Uniform(-1e307, 1e308), AuctionParams(0.0, 0.0, 0.3, 0.3), -1e308, 2000),
+    "nan-prices": (AuctionParams(0.5, 0.5), 0.1, branches([NAN, NAN, NAN, 0.3, -0.2, NAN], "FVQVFF")),
+    # (1 - alpha) * bid = 0.25 exactly: a voluntary trial at x = 0.25 does not execute
+    "ties": (AuctionParams(0.5, 0.5), 0.5, branches([0.25, 0.25, 0.25, 0.25 + 2**-54, 0.25 - 2**-54, 0.3],
+                                                     "FVQVVQ")),
+    "forced-failures": (U01, AuctionParams(0.5, 0.5, 0.2, 0.5), 0.1, 2**18 + 5),
+    "no-forced-outcomes": (Beta(2.0, 5.0), AuctionParams(0.1, 0.5), 0.05, 2**18 + 5),
+    "nothing-executes": (U01, AuctionParams(0.5, 0.5), 1.2, 2**18 + 5),
+    "nothing-executes-by-hand": (AuctionParams(0.5, 0.5), 0.1, branches([-1.0, -1e308, 0.0, NAN, 0.05], "VVVVQ")),
+}
+
+
+def kernel_chunks(case):
+    """The case's params, bid and chunks."""
+    if len(case) == 3:
+        params, bid, chunk = case
+        return params, bid, [chunk]
+    d, params, bid, n = case
+    return params, bid, list(_chunks(d, params, 3, n))
+
+
+def float_bits(values):
+    """The values' float64 bits, so that 0.0 and -0.0 differ and NaN equals NaN."""
+    return np.asarray(values, float).view(np.int64)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def test_the_chunk_kernel_matches_the_masked_copy(case):
+    params, bid, chunks = kernel_chunks(case)
+    for x, forced, voluntary in chunks:
+        with np.errstate(over="ignore", invalid="raise"):  # no NaN is made that the masked copy does not make
+            want_executed, want_gain = reference_settle(params, bid, x, forced, voluntary)
+            executed, gain = _settle(params, bid, x, forced, voluntary)
+            assert np.array_equal(executed, want_executed)
+            assert np.array_equal(float_bits(gain), float_bits(want_gain))
+            want, got = (f(params, bid, x.copy(), forced, voluntary) for f in (reference_moments, _moments))
+        assert got[2] == want[2]
+        assert np.array_equal(float_bits(got[:2] + got[3:]), float_bits(want[:2] + want[3:]))
+
+
+@pytest.mark.parametrize("d, sizes", [
+    (U01, [1, 2**18 - 1, 2**18, 2**18 + 1]),
+    (Beta(0.5, 0.5), [1, 2**18 - 1, 2**18, 2**18 + 1]),
+    (Beta(2.0, 5.0), [1, 2**18 - 1, 2**18, 2**18 + 1]),
+    (QuadratureDistribution(Beta(2.0, 5.0).pdf, Beta(2.0, 5.0).support), [1, 3]),
+], ids=["uniform", "beta-0.5-0.5", "beta-2-5", "quadrature"])
+@pytest.mark.parametrize("p, q, advances", [(0.0, 0.0, True), (5e-324, 0.0, False), (0.0, 5e-324, False)])
+def test_chunks_skip_only_branch_uniforms_that_decide_nothing(monkeypatch, d, sizes, p, q, advances):
+    skipped = []
+
+    class PCG64(np.random.PCG64):
+        def advance(self, delta):
+            skipped.append(delta)
+            return super().advance(delta)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    params = AuctionParams(0.5, 0.5, p, q)
+    for n in sizes:
+        skipped.clear()
+        chunks = list(_chunks(d, params, 11, n))
+        assert len(chunks) == len(want := reference_chunks(d, params, 11, n))
+        for got, ref in zip(chunks, want):
+            assert np.array_equal(float_bits(got[0]), float_bits(ref[0]))
+            assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+        assert skipped == ([min(2**18, n - lo) for lo in range(0, n, 2**18)] if advances else [])
 
 
 def test_calibration_holds_the_executable_trials_not_the_batch():
