@@ -96,14 +96,12 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
     """
     root = np.random.SeedSequence(seed)
     p, q = params.p, params.q
-    if p == q == 0.0:
-        never, always = np.zeros(min(_CHUNK, n), bool), np.ones(min(_CHUNK, n), bool)
     for lo in range(0, n, _CHUNK):
         rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
         m = min(_CHUNK, n - lo)
         if p == q == 0.0:
             rng.bit_generator.advance(m)
-            forced, voluntary = never[:m], always[:m]
+            forced, voluntary = np.zeros(m, bool), np.ones(m, bool)
         else:
             u = rng.random(m)
             forced, voluntary = u < p, u >= p + q
