@@ -263,6 +263,11 @@ class Beta(Distribution):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
         if not math.isfinite(a + b):  # the mean and the cdf both read a + b
             raise InvalidParamsError(f"Beta shapes must have a finite sum, got a={a}, b={b}")
+        # once a * b underflows, betainc loses the smaller shape's share of the mass:
+        # I_{1/2}(a, a) is 0 there, not 1/2
+        if a * b < sys.float_info.min:
+            raise InvalidParamsError(
+                f"Beta shapes must have a product of at least 2.2e-308, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         self._support = SupportInterval(0.0, 1.0)

@@ -335,6 +335,12 @@ class TestExitContract:
         assert run(capsys, "solve", "--dist", "beta:1e308,1e308", "--alpha", "0.5") == (
             2, "", "error: Beta shapes must have a finite sum, got a=1e+308, b=1e+308\n")
 
+    def test_beta_shapes_whose_product_underflows_exit_2(self, capsys):
+        # betainc(a, a, 1/2) was 0, so the law 1/2 δ0 + 1/2 δ1, whose b* is 1/3
+        # and p_exec 1/2, was solved with b* = 0, p_exec = 1 and exit 0
+        assert run(capsys, "solve", "--dist", "beta:5e-324,5e-324", "--alpha", "0.5") == (
+            2, "", "error: Beta shapes must have a product of at least 2.2e-308, got a=5e-324, b=5e-324\n")
+
     def test_an_alpha_grid_too_large_to_hold_exits_2(self, capsys, monkeypatch):
         def linspace(*args):
             raise MemoryError("Unable to allocate 745. GiB")  # as numpy raises it, without the allocation

@@ -181,6 +181,18 @@ class TestBeta:
             Beta(2.0, -3.0)
         with pytest.raises(InvalidParamsError):
             Beta(1e308, 1e308)  # a + b overflows, so the mean would be 0
+        # a * b underflows, and betainc drops the smaller shape's mass
+        for a, b in [(5e-324, 5e-324), (1e-160, 1e-160), (1e-200, 1e-150), (5e-324, 2.0)]:
+            with pytest.raises(InvalidParamsError, match="product of at least"):
+                Beta(a, b)
+
+    def test_tiny_shapes_whose_product_is_normal_keep_both_masses(self):
+        # the law is all but b/(a+b) δ0 + a/(a+b) δ1
+        for a, b in [(1.5e-154, 1.5e-154), (1e-150, 1e-150), (1e-200, 1e-100), (1e-100, 1e-200)]:
+            d = Beta(a, b)
+            assert d.cdf(0.25) == pytest.approx(b / (a + b), rel=1e-12)
+            assert d.cdf(0.75) == pytest.approx(b / (a + b), rel=1e-12)
+            assert d.partial_expectation(0.5) == pytest.approx(a / (a + b), rel=1e-12)
 
 
 @pytest.mark.parametrize("law", [Uniform(-1.0, 3.0), Beta(2.0, 5.0),
