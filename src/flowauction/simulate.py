@@ -133,7 +133,8 @@ def _moments(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarra
     executed, gain = _settle(params, bid, x, forced, voluntary)
     sum_gain = float(gain.sum())
     sum_gain2 = float(np.multiply(gain, gain, out=gain).sum())
-    spread = np.compress(executed, x)
+    del gain  # spent; np.compress's index temporary takes its memory
+    spread = np.compress(executed, x)  # x[executed], without a masked loop
     # x is spent once the spread is taken; its head holds the squares
     return (
         sum_gain,
