@@ -120,11 +120,13 @@ def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray
     executed |= forced
     # masked copies mispredict on a random mask; a product by the mask does
     # not, and it leaves -0.0 where a gain was negative and NaN where it was
-    # infinite or NaN, which the two steps after it set to 0
+    # infinite or NaN, which the steps after it set to 0
     with np.errstate(invalid="ignore"):
         gain *= executed
     gain += 0.0
-    np.copyto(gain, 0.0, where=np.isnan(gain) & ~executed)
+    nan = np.isnan(gain)
+    if nan.any():  # only an infinite or NaN gain, which an executed trial keeps
+        np.copyto(gain, 0.0, where=nan & ~executed)
     return executed, gain
 
 
