@@ -119,13 +119,14 @@ def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray
     executed &= voluntary
     executed |= forced
     # masked copies mispredict on a random mask; a product by the mask does
-    # not, and it leaves -0.0 where a gain was negative and NaN where it was
-    # infinite or NaN, which the steps after it set to 0
+    # not.  It leaves -0.0 where a gain was negative, which += 0.0 makes 0.0,
+    # and NaN where a gain was infinite or NaN, which is set to 0 where the
+    # trial does not execute: an executed inf or NaN keeps its value
     with np.errstate(invalid="ignore"):
         gain *= executed
     gain += 0.0
     nan = np.isnan(gain)
-    if nan.any():  # only an infinite or NaN gain, which an executed trial keeps
+    if nan.any():
         np.copyto(gain, 0.0, where=nan & ~executed)
     return executed, gain
 

@@ -214,7 +214,7 @@ def reference_chunks(d, params, seed, n):
 
 
 def reference_settle(params, bid, x, forced, voluntary):
-    """Each trial's execution indicator and gain, the gain set to 0 by a masked copy where it does not execute."""
+    """Each trial's execution indicator and gain, zeroed by a masked copy where it does not execute."""
     gain_if_exec = x - (1.0 - params.alpha) * bid
     executed = forced | (voluntary & (gain_if_exec > 0.0))
     return executed, np.where(executed, gain_if_exec, 0.0)
@@ -306,12 +306,13 @@ KERNEL_CASES = {
     "plus-inf-gains": (Uniform(-1e307, 1e308), AuctionParams(0.0, 0.0, 0.3, 0.3), -1e308, 2000),
     "nan-prices": (AuctionParams(0.5, 0.5), 0.1, branches([NAN, NAN, NAN, 0.3, -0.2, NAN], "FVQVFF")),
     # (1 - alpha) * bid = 0.25 exactly: a voluntary trial at x = 0.25 does not execute
-    "ties": (AuctionParams(0.5, 0.5), 0.5, branches([0.25, 0.25, 0.25, 0.25 + 2**-54, 0.25 - 2**-54, 0.3],
-                                                     "FVQVVQ")),
+    "ties": (AuctionParams(0.5, 0.5), 0.5,
+             branches([0.25, 0.25, 0.25, 0.25 + 2**-54, 0.25 - 2**-54, 0.3], "FVQVVQ")),
     "forced-failures": (U01, AuctionParams(0.5, 0.5, 0.2, 0.5), 0.1, 2**18 + 5),
     "no-forced-outcomes": (Beta(2.0, 5.0), AuctionParams(0.1, 0.5), 0.05, 2**18 + 5),
     "nothing-executes": (U01, AuctionParams(0.5, 0.5), 1.2, 2**18 + 5),
-    "nothing-executes-by-hand": (AuctionParams(0.5, 0.5), 0.1, branches([-1.0, -1e308, 0.0, NAN, 0.05], "VVVVQ")),
+    "nothing-executes-by-hand": (AuctionParams(0.5, 0.5), 0.1,
+                                 branches([-1.0, -1e308, 0.0, NAN, 0.05], "VVVVQ")),
 }
 
 
@@ -333,7 +334,8 @@ def float_bits(values):
 def test_the_chunk_kernel_matches_the_masked_copy(case):
     params, bid, chunks = kernel_chunks(case)
     for x, forced, voluntary in chunks:
-        with np.errstate(over="ignore", invalid="raise"):  # no NaN is made that the masked copy does not make
+        # the kernel may not signal an invalid operation where the masked copy does not
+        with np.errstate(over="ignore", invalid="raise"):
             want_executed, want_gain = reference_settle(params, bid, x, forced, voluntary)
             executed, gain = _settle(params, bid, x, forced, voluntary)
             assert np.array_equal(executed, want_executed)
