@@ -380,9 +380,9 @@ def solve_equilibrium(
     exists; the search of :mod:`flowauction._bisect` narrows that bracket
     with safeguarded Chandrupatla steps (inverse quadratic interpolation or
     bisection) until it is two adjacent floats, in about 10 evaluations of
-    the utility.  This is :func:`solve_equilibria` of one element: the
-    array search of one-element arrays, which costs about as much per round
-    as a batch of a hundred, so grids are best solved in one call.  The
+    the utility.  This is :func:`solve_equilibria` of one element: its lone
+    search steps on scalars, but reads the law on one-element arrays each
+    round, so grids are still best solved in one call.  The
     initial upper bracket ``(hi - K)/(1 - alpha)`` places the execution
     threshold at the top of the support, where the utility is nonpositive;
     where rounding leaves that threshold just below the top and a tiny

@@ -313,3 +313,40 @@ def test_edge_cases_match_the_reference(f, lo, hi):
         assert_same_outcome(got, want)
         if f(lo) > 0.0 and f(TINY) == 0.0:
             assert got == TINY
+
+
+def exact_tie(x):
+    """Kinked at 0.5 with a root at 0.25.  Searched on [0, 1], its points 0.5,
+    0.236... and 0.24999999999999997 leave the bracket [0.24999999999999997, 0.5],
+    exactly half as wide as [0, 0.5] two steps back, where Chandrupatla's test
+    passes: the width test's tie decides between interpolating and bisecting."""
+    return 0.375 - 1.5 * x if x <= 0.5 else 0.25 - 1.25 * x
+
+
+def reference_points(f, lo, hi):
+    """The points ``reference_search`` asks ``f`` for, in order."""
+    points = []
+    reference_crossing(lambda x: points.append(x) or f(x), lo, hi)
+    return points
+
+
+@pytest.mark.parametrize("partners", [
+    [],  # alone: every narrowing step on scalars
+    [(lambda x: 0.1 - x, 0.0, 1.0)],  # runs through the tie, then ends: the tie is an array step
+    [(lambda x: -1.0, 0.0, 1.0), (lambda x: 1.0, 0.0, 1.0), (lambda x: 0.2 - x, 0.0, 1.0)],  # end before it
+])
+def test_an_exact_width_tie_interpolates_in_either_driver(partners):
+    tried = reference_points(exact_tie, 0.0, 1.0)
+    assert 0.5 - tried[4] == 0.5 * (0.5 - 0.0)  # the tie, after the fifth point
+    assert tried[5] != 0.5 * (tried[4] + 0.5)  # the sixth point is interpolated, not the midpoint
+    cases = [*partners, (exact_tie, 0.0, 1.0)]
+    asked = [[] for _ in cases]
+
+    def f(points, k):
+        for i, x in zip(k.tolist(), points.tolist()):
+            asked[i].append(x)
+        return np.array([cases[i][0](x) for i, x in zip(k.tolist(), points.tolist())])
+
+    find_crossings(f, [lo for _, lo, _ in cases], [hi for _, _, hi in cases], np.arange(len(cases)))
+    assert asked == [reference_points(g, lo, hi) for g, lo, hi in cases]
+    assert len(asked[-1]) > max(map(len, asked[:-1]), default=0)  # the tie's search ends last

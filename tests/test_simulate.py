@@ -119,6 +119,17 @@ class TestSimulateAuction:
                 passes += 1
         assert passes >= 99
 
+    @pytest.mark.parametrize("seed, n_exec", [(0, 0), (5, 1)])
+    def test_one_trial_has_zero_standard_errors(self, seed, n_exec):
+        # a sample of one has no spread to estimate: every standard error is 0, not 0 / 0
+        params = AuctionParams(strike=0.5, alpha=0.5)
+        res = simulate_auction(U01, params, SimConfig(n_trials=1, seed=seed, bid=0.1))
+        assert res.n_exec == n_exec and res.exec_rate == n_exec
+        assert res.se_exec == res.se_utility == res.se_revenue == res.se_spread == 0.0
+        for name, value in vars(res).items():
+            assert value is None or math.isfinite(value), name
+        assert (res.mean_spread_given_exec is None) == (n_exec == 0)
+
     def test_strike_above_support_rejected(self):
         with pytest.raises(InvalidParamsError):
             simulate_auction(
