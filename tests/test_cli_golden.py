@@ -36,6 +36,9 @@ CASES = [
     *both_formats("simulate-uniform", "simulate", "--alpha", "0.25", "--n", "200000", "--seed", "42"),
     *both_formats("simulate-beta", "simulate", "--dist", "beta:2,5", "--alpha", "0.5",
                   "--n", "100000", "--seed", "7"),
+    # 600,000 trials are three chunks, two full and one partial
+    *both_formats("simulate-beta-chunks", "simulate", "--dist", "beta:2,5", "--alpha", "0.5",
+                  "--n", "600000", "--seed", "9"),
     *both_formats("simulate-no-exec", "simulate", "--alpha", "0.5", "--bid", "1.2", "--n", "50000"),
     *both_formats("simulate-bid", "simulate", "--alpha", "0.5", "--bid", "0.1", "--n", "50000",
                   "--seed", "3"),
