@@ -199,7 +199,10 @@ class Distribution(ABC):
 
         Draws consume ``rng`` as one stream: drawing ``k`` values and then
         ``m`` more from a generator gives the same values as drawing
-        ``k + m`` at once from a generator in the same state.
+        ``k + m`` at once from a generator in the same state.  A simulation
+        may draw two chunks at once, each from its own generator on its own
+        thread, so a law is sampled from two threads; a
+        :class:`QuadratureDistribution`'s pdf may then be called from both.
         """
 
 

@@ -8,19 +8,26 @@ positive; ties do not execute.
 
 Randomness comes from numpy's PCG64 generator.  Trials are drawn in
 fixed-size chunks whose generators are spawned deterministically from the
-seed, one chunk at a time.  The simulation and the calibrator read the same
-chunks, so at one seed they play the same trials.  A simulation combines the
-chunk aggregates with exact summation (``math.fsum``), so its result is
-bit-identical for a given ``SimConfig``, and it holds one chunk's arrays at a
-time.  The calibrator keeps, of each chunk, only the trials that can execute.
+seed.  Where the process may run on two CPUs, two chunks are drawn at once,
+one on a helper thread; everything else runs on the caller's thread, in
+chunk order, so the trials and every result are the same on one CPU or two.
+The simulation and the calibrator read the same chunks, so at one seed they
+play the same trials.  A simulation combines the chunk aggregates with exact
+summation (``math.fsum``), so its result is bit-identical for a given
+``SimConfig``, and it holds at most two chunks' arrays at a time.  The
+calibrator keeps, of each chunk, only the trials that can execute.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextvars
 import functools
 import itertools
 import math
+import mmap
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,8 @@ from .errors import ConvergenceError, InvalidParamsError
 __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_bid"]
 
 _CHUNK = 1 << 18
+# chunks drawn at once: two where this process may run on two CPUs
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _is_integer(v) -> bool:
@@ -82,34 +91,90 @@ class SimResult:
     n_exec: int
 
 
+def _draw(d: Distribution, params: AuctionParams, rng: np.random.Generator, m: int, masks):
+    """One chunk of ``m`` trials from ``rng``: its ``x = S - K``, the mask of
+    forced trials and the mask of voluntary ones.  ``masks`` is the constant
+    pair at ``p = q = 0``, where ``rng`` is already past the branch uniforms,
+    and None otherwise."""
+    if masks is None:
+        u = rng.random(m)
+        forced, voluntary = u < params.p, u >= params.p + params.q
+        del u
+    else:
+        forced, voluntary = (mask[:m] for mask in masks)
+    x = d.sample(rng, size=m)
+    x -= params.strike
+    return x, forced, voluntary
+
+
+def _at_once(first, second):
+    """``first()`` on this thread while a helper thread calls ``second()``; both results.
+
+    The helper runs in a copy of this thread's context, so numpy's errstate
+    holds there as it does here.  It is joined before this returns or
+    raises, and an exception it raised is raised here.
+    """
+    context = contextvars.copy_context()
+    result, error = [], []
+
+    def run():
+        try:
+            result.append(context.run(second))
+        except BaseException as exc:  # raised again on the caller's thread
+            error.append(exc)
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        drawn = first()
+    finally:
+        helper.join()
+    if error:
+        raise error[0]
+    return [drawn, result[0]]
+
+
 def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
     """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own generator.
 
-    Chunk ``k`` draws from child ``k`` of ``SeedSequence(seed)``, spawned as it is
-    drawn.  A chunk of ``m`` trials draws ``m`` branch uniforms, then ``m`` prices
-    S, and is yielded as its ``x = S - K``, the mask of trials whose execution is
-    forced and the mask of those where the winner decides.  The chunk seeds and
-    sizes define the draws, so a seed gives every caller the same trials.  At
-    ``p = q = 0`` the uniforms decide nothing: the generator is advanced past
-    them instead (``Generator.random`` takes one 64-bit PCG64 output per
-    float), so the prices are the same, and the masks are constant.
+    Chunk ``k`` draws from child ``k`` of ``SeedSequence(seed)``.  A chunk of
+    ``m`` trials draws ``m`` branch uniforms, then ``m`` prices S, and is
+    yielded as its ``x = S - K``, the mask of trials whose execution is
+    forced and the mask of those where the winner decides.  The chunk seeds
+    and sizes define the draws, so a seed gives every caller the same trials.
+    At ``p = q = 0`` the uniforms decide nothing: the generator is advanced
+    past them instead (``Generator.random`` takes one 64-bit PCG64 output per
+    float), so the prices are the same, and every chunk yields views of one
+    read-only pair of constant masks.
+
+    Chunks are drawn in groups of ``_THREADS``, in order: with two, this
+    thread draws the first chunk of a group while a helper thread draws the
+    second (numpy lets go of the interpreter lock while it draws).  Only the
+    draws run on the helper; the seeds are spawned, the generators built and
+    advanced, and the chunks yielded here, in chunk order, so the trials do
+    not depend on ``_THREADS``.  The helper is joined before a group is
+    yielded, so at most two chunks are held at once and no thread outlives
+    a group; a run of one chunk starts no thread.
     """
     root = np.random.SeedSequence(seed)
-    p, q = params.p, params.q
-    for lo in range(0, n, _CHUNK):
-        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
-        m = min(_CHUNK, n - lo)
-        if p == q == 0.0:
-            rng.bit_generator.advance(m)
-            forced, voluntary = np.zeros(m, bool), np.ones(m, bool)
-        else:
-            u = rng.random(m)
-            forced, voluntary = u < p, u >= p + q
-            del u
-        x = d.sample(rng, size=m)
-        x -= params.strike
-        yield x, forced, voluntary
-        del x, forced, voluntary  # only the caller holds a chunk while the next one is drawn
+    sizes = [min(_CHUNK, int(n) - lo) for lo in range(0, n, _CHUNK)]  # advance() refuses numpy integers
+    masks = None
+    if params.p == params.q == 0.0:
+        masks = np.zeros(sizes[0], bool), np.ones(sizes[0], bool)
+        for mask in masks:
+            mask.flags.writeable = False  # every chunk is given views of them
+    threads = _THREADS
+    for g in range(0, len(sizes), threads):
+        draws = []
+        for m in sizes[g:g + threads]:
+            rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
+            if masks is not None:
+                rng.bit_generator.advance(m)
+            draws.append(functools.partial(_draw, d, params, rng, m, masks))
+        chunks = _at_once(*draws) if len(draws) == 2 else [draws[0]()]
+        chunks.reverse()
+        while chunks:
+            yield chunks.pop()  # only the caller holds a chunk it was given
 
 
 def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
@@ -166,7 +231,7 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
 
     The trials are :func:`_chunks` of ``cfg.seed``, the ones the calibrator
     reads at that seed; a seeded run gives the same result bit for bit.  A
-    run holds one chunk's arrays at a time.
+    run holds at most two chunks' arrays at a time.
     """
     check_execution_right(d, params)
     n = cfg.n_trials
@@ -277,9 +342,9 @@ def calibrate_zero_profit_bid(
     is 0 when the utility at b = 0 is already nonpositive.  The batch is the
     :func:`_chunks` of ``seed``, so :func:`simulate_auction` at the same
     seed and ``n_per_eval`` trials plays the same trials.  Of each chunk only
-    the trials that can execute are kept, so a run holds 8 bytes per trial
-    with ``x > 0`` or a forced execution, and the prices and 2 bytes of
-    branch masks per trial of one chunk only.  Requires
+    the trials that can execute are kept, in one buffer, so a run holds 8
+    bytes per trial with ``x > 0`` or a forced execution, and the prices and
+    branch masks of at most two chunks.  Requires
     ``alpha > 0`` or ``p > 0`` so that the crossing is strict.  Raises
     :class:`ConvergenceError` when the upper bid bracket (see
     :func:`upper_bid_bracket`) or a sum of trial gains overflows.
@@ -292,6 +357,17 @@ def calibrate_zero_profit_bid(
     _check_count_and_seed(n_per_eval, seed, "n_per_eval", 2)
     check_execution_right(d, params)
     upper_bid_bracket(d, params)  # no float bid reaching the support top: refused as the solver refuses it
+    # A trial is kept at most once, so one buffer of n_per_eval floats takes them
+    # all: the forced trials' x from the front, in chunk order, and the voluntary
+    # ones' from the back.  It is an anonymous mapping, not a malloc'd array, so
+    # its pages are backed only once a kept trial is written to them, and all
+    # go back to the system with it.
+    buf = np.frombuffer(mmap.mmap(-1, 8 * n_per_eval), np.float64)
+    n_forced, top = 0, n_per_eval
     # starmap lets go of each chunk before the next is drawn, where a loop variable would hold it
-    pieces = itertools.starmap(_executable, _chunks(d, params, seed, n_per_eval))
-    return _zero_profit_bid(params, n_per_eval, *(np.concatenate(p) for p in zip(*pieces)))
+    for forced, voluntary in itertools.starmap(_executable, _chunks(d, params, seed, n_per_eval)):
+        buf[n_forced:n_forced + forced.size] = forced
+        buf[top - voluntary.size:top] = voluntary
+        n_forced, top = n_forced + forced.size, top - voluntary.size
+        del forced, voluntary  # a piece is let go of before the next group is drawn
+    return _zero_profit_bid(params, n_per_eval, buf[:n_forced], buf[top:])

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from flowauction import (
     solution_at,
     solve_equilibrium,
 )
+from flowauction import simulate
 from flowauction.simulate import _chunks, _executable, _moments, _settle, _zero_profit_bid
 
 U01 = Uniform(0.0, 1.0)
@@ -148,6 +153,14 @@ class TestSimulateAuction:
     def test_config_rejects_non_integer_counts(self, n_trials, seed):
         with pytest.raises(InvalidParamsError):
             SimConfig(n_trials=n_trials, seed=seed, bid=0.1)
+
+
+@pytest.mark.parametrize("count", [np.int64(1000), np.uint32(1000)], ids=["int64", "uint32"])
+def test_a_numpy_integer_count_plays_the_trials_of_the_int(count):
+    params = AuctionParams(0.5, 0.5)
+    want = simulate_auction(U01, params, SimConfig(1000, 3, 0.1))
+    assert simulate_auction(U01, params, SimConfig(count, 3, 0.1)) == want
+    assert calibrate_zero_profit_bid(U01, params, count, 3) == calibrate_zero_profit_bid(U01, params, 1000, 3)
 
 
 class TestCalibration:
@@ -394,6 +407,103 @@ def test_calibration_holds_the_executable_trials_not_the_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+def test_simulation_holds_at_most_two_chunks():
+    # one chunk's arrays at a time peaked at 5.0 MiB; two chunks drawn at once, 7.0 MiB
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        simulate_auction(U01, AuctionParams(0.5, 0.5), SimConfig(n_trials=10**6, seed=1, bid=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
+
+
+@pytest.mark.parametrize("d, params, bid", [
+    (U01, AuctionParams(0.5, 0.5), 0.1),
+    (Beta(2.0, 5.0), AuctionParams(0.5, 0.5, 0.2, 0.1), 0.05),
+], ids=["uniform", "beta-forced"])
+@pytest.mark.parametrize("n", [2**18 + 1, 3 * 2**18 + 5, 10**6])
+def test_one_thread_and_two_draw_the_same_trials(monkeypatch, d, params, bid, n):
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(simulate, "_THREADS", threads)
+        results.append((simulate_auction(d, params, SimConfig(n_trials=n, seed=13, bid=bid)),
+                        calibrate_zero_profit_bid(d, params, n, 13)))
+    assert repr(results[0]) == repr(results[1])  # repr tells every float apart, 0.0 from -0.0 too
+
+
+def test_a_quadrature_law_is_sampled_on_two_threads_as_on_one(monkeypatch):
+    # its draws call the Python pdf; small chunks keep the four of them quick
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    law, params = QuadratureDistribution(Beta(2.0, 5.0).pdf, Beta(2.0, 5.0).support), AuctionParams(0.2, 0.5)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(simulate, "_THREADS", threads)
+        results.append((simulate_auction(law, params, SimConfig(n_trials=200, seed=13, bid=0.05)),
+                        calibrate_zero_profit_bid(law, params, 200, 13)))
+    assert repr(results[0]) == repr(results[1])
+
+
+class SecondChunk(Uniform):
+    """U(0, 1), except that ``second(size)`` gives the draws of a run's second chunk."""
+
+    def __init__(self, second):
+        super().__init__(0.0, 1.0)
+        self.second = second
+
+    def sample(self, rng, size=None):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):  # child 1 of the run's seed
+            return self.second(size)
+        return super().sample(rng, size)
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def fail(size):
+    raise DrawFailed(size)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_draw_is_raised_and_no_thread_outlives_it(monkeypatch, threads):
+    monkeypatch.setattr(simulate, "_THREADS", threads)
+    law, params, n = SecondChunk(fail), AuctionParams(0.5, 0.5), 3 * 2**18
+    before = threading.active_count()
+    for run in (lambda: simulate_auction(law, params, SimConfig(n_trials=n, seed=2, bid=0.1)),
+                lambda: calibrate_zero_profit_bid(law, params, n, 2)):
+        with pytest.raises(DrawFailed):
+            run()
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_chunk_is_drawn_under_the_callers_errstate(monkeypatch, threads):
+    # x - K overflows in the second chunk only; with two threads a helper draws it
+    monkeypatch.setattr(simulate, "_THREADS", threads)
+    law, params, n = SecondChunk(lambda size: np.full(size, -1e308)), AuctionParams(1e308, 0.5), 2**18 + 1
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        list(_chunks(law, params, 3, n))
+    with np.errstate(over="ignore"):  # a warning would fail the test
+        (x, _, _), (y, _, _) = _chunks(law, params, 3, n)
+    assert np.isfinite(x).all() and y.tolist() == [-math.inf]
+
+
+def test_a_cli_simulation_whose_draws_overflow_writes_no_warning():
+    # S - K overflows to -inf in about a fifth of the trials of either chunk; at
+    # p = 1e-9 no trial of this seed is forced, so none of them executes and the
+    # result is finite
+    env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowauction", "simulate", "--dist", "uniform:-1e308,1e307",
+         "--strike", "1e308", "--p", "1e-9", "--alpha", "1", "--n", str(2**18 + 40_000), "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].startswith("1,0,302144,1,0,")
 
 
 @st.composite
