@@ -134,14 +134,13 @@ class _Batch(NamedTuple):
 class _Laws:
     """The law of each element of a batch, grouped by family: the elements under
     Beta laws are one group, read through one Beta that holds their shapes as
-    columns, and each other law is a group of its own (as is a lone Beta law).
-    ``lo``, ``hi`` and ``mean`` hold each element's support and mean."""
+    columns, and each other law is a group of its own.  ``lo``, ``hi`` and
+    ``mean`` hold each element's support and mean."""
 
     def __init__(self, laws: Sequence[Distribution]):
         starts = [i for i, law in enumerate(laws) if i == 0 or law is not laws[i - 1]]
         runs = [laws[i] for i in starts]
-        stack = len({id(law) for law in runs if type(law) is Beta}) > 1
-        keys = [Beta if stack and type(law) is Beta else law for law in runs]
+        keys = [Beta if type(law) is Beta else law for law in runs]
         self.groups = list({id(key): key for key in keys}.values())  # Beta stands for the stacked group
         number = {id(key): n for n, key in enumerate(self.groups)}
         values = [(law.support.lo, law.support.hi, law.mean(), number[id(key)],
@@ -331,7 +330,7 @@ def solve_columns(
         return find_crossings(utility, np.zeros(i.size), top, i, *(column[i] for column in batch[:-1]))
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
-        b = np.where(eroded & ~refused, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
+        b = np.where(eroded, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
         unbracketed = np.zeros(len(params_seq), dtype=bool)
         search = np.flatnonzero(solved)
         b[search], bracketed = crossings(search, upper[search])

@@ -8,10 +8,9 @@ positive; ties do not execute.
 
 Randomness comes from numpy's PCG64 generator.  Trials are drawn in
 fixed-size chunks whose generators are spawned deterministically from the
-seed.  Where the process may run on two CPUs, two chunks are drawn at once,
-one on a helper thread; everything else runs on the caller's thread, in
-chunk order, so the trials and every result are the same on one CPU or two.
-The simulation and the calibrator read the same chunks, so at one seed they
+seed.  Chunks are drawn two at a time, the second on a helper thread;
+everything else runs on the caller's thread, in chunk order.  The
+simulation and the calibrator read the same chunks, so at one seed they
 play the same trials.  A simulation combines the chunk aggregates with exact
 summation (``math.fsum``), so its result is bit-identical for a given
 ``SimConfig``, and it holds at most two chunks' arrays at a time.  The
@@ -26,7 +25,6 @@ import functools
 import itertools
 import math
 import mmap
-import os
 import threading
 from dataclasses import dataclass
 
@@ -39,8 +37,6 @@ from .errors import ConvergenceError, InvalidParamsError
 __all__ = ["SimConfig", "SimResult", "simulate_auction", "calibrate_zero_profit_bid"]
 
 _CHUNK = 1 << 18
-# chunks drawn at once: two where this process may run on two CPUs
-_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _is_integer(v) -> bool:
@@ -77,7 +73,8 @@ class SimResult:
 
     ``mean_spread_given_exec`` averages ``S - K`` over executed trials only
     and is None when no trial executed.  Standard errors use the plain
-    sample-variance estimate.
+    sample-variance estimate; they are NaN when the squared gains or spreads
+    overflow.
     """
 
     mean_utility: float
@@ -147,14 +144,13 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
     float), so the prices are the same, and every chunk yields views of one
     read-only pair of constant masks.
 
-    Chunks are drawn in groups of ``_THREADS``, in order: with two, this
-    thread draws the first chunk of a group while a helper thread draws the
-    second (numpy lets go of the interpreter lock while it draws).  Only the
-    draws run on the helper; the seeds are spawned, the generators built and
-    advanced, and the chunks yielded here, in chunk order, so the trials do
-    not depend on ``_THREADS``.  The helper is joined before a group is
+    Chunks are drawn in pairs, in order: this thread draws the first chunk
+    of a pair while a helper thread draws the second (numpy lets go of the
+    interpreter lock while it draws).  Only the draws run on the helper; the
+    seeds are spawned, the generators built and advanced, and the chunks
+    yielded here, in chunk order.  The helper is joined before a pair is
     yielded, so at most two chunks are held at once and no thread outlives
-    a group; a run of one chunk starts no thread.
+    a pair; a run of one chunk starts no thread.
     """
     root = np.random.SeedSequence(seed)
     sizes = [min(_CHUNK, int(n) - lo) for lo in range(0, n, _CHUNK)]  # advance() refuses numpy integers
@@ -163,10 +159,9 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
         masks = np.zeros(sizes[0], bool), np.ones(sizes[0], bool)
         for mask in masks:
             mask.flags.writeable = False  # every chunk is given views of them
-    threads = _THREADS
-    for g in range(0, len(sizes), threads):
+    for g in range(0, len(sizes), 2):
         draws = []
-        for m in sizes[g:g + threads]:
+        for m in sizes[g:g + 2]:
             rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
             if masks is not None:
                 rng.bit_generator.advance(m)
@@ -217,7 +212,9 @@ def _sample_var(sum_x: float, sum_x2: float, n: int) -> float:
     if n < 2:
         return 0.0
     mean = sum_x / n
-    return max(0.0, (sum_x2 - n * mean * mean) / (n - 1))
+    var = (sum_x2 - n * mean * mean) / (n - 1)
+    # rounding can make it negative; the NaN of squares that overflow is kept
+    return var if not var < 0.0 else 0.0
 
 
 def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> SimResult:

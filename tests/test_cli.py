@@ -369,12 +369,16 @@ class TestExitContract:
             assert (code, err) == (0, "")
             assert out.count("\n") == 102
 
-    def test_simulate_non_finite_exits_3_without_warnings(self):
+    @pytest.mark.parametrize("argv", [
+        # the bid is finite there; the sum of its trials' gains overflows
+        ("--dist", "uniform:0,1e307", "--alpha", "0.5", "--strike=0", "--n", "2000", "--format", "json"),
+        # the gains and their sum are finite, but their squares overflow: the standard errors were 0
+        ("--dist", "uniform:0,1e200", "--strike", "5e199", "--alpha", "0.5", "--n", "1000"),
+    ], ids=["overflowing-sum", "overflowing-squares"])
+    def test_simulate_non_finite_exits_3_without_warnings(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
         proc = subprocess.run(
-            # the bid is finite there; the squared gains of its trials overflow
-            [sys.executable, "-m", "flowauction", "simulate", "--dist", "uniform:0,1e307", "--alpha", "0.5",
-             "--strike=0", "--n", "2000", "--format", "json"],
+            [sys.executable, "-m", "flowauction", "simulate", *argv],
             capture_output=True, text=True, env=env, timeout=120, check=False,
         )
         assert proc.returncode == 3

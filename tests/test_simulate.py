@@ -230,9 +230,10 @@ def reference_trials(d, params, seed_seq, m):
     return x, u < params.p, u >= params.p + params.q
 
 
-def reference_chunks(d, params, seed, n):
-    """The ``n`` trials of ``seed``: chunks of 2^18 trials and a last one, each from its own spawned seed."""
-    sizes = [min(2**18, n - lo) for lo in range(0, n, 2**18)]
+def reference_chunks(d, params, seed, n, chunk=2**18):
+    """The ``n`` trials of ``seed``, drawn one chunk after another on this thread:
+    chunks of ``chunk`` trials and a last one, each from its own spawned seed."""
+    sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     return [reference_trials(d, params, ss, m) for ss, m in zip(seeds, sizes)]
 
@@ -302,7 +303,8 @@ REFERENCE_LAWS = [
 @pytest.mark.parametrize("d, strike, bid", REFERENCE_LAWS,
                          ids=["uniform", "beta-2-5", "beta-0.5-0.5", "shifted"])
 @pytest.mark.parametrize("alpha, p, q", [(0.5, 0.0, 0.0), (0.5, 0.2, 0.1), (1.0, 0.0, 0.0)])
-@pytest.mark.parametrize("n", [2, 2**18 - 1, 2**18, 2**18 + 1, 10**6])
+# 2 * 2**18 + 1 draws a pair of chunks, then a lone one
+@pytest.mark.parametrize("n", [2, 2**18 - 1, 2**18, 2**18 + 1, 2 * 2**18 + 1, 10**6])
 class TestChunksMatchTheReference:
     def test_calibration(self, d, strike, bid, alpha, p, q, n):
         params = AuctionParams(strike, alpha, p, q)
@@ -354,6 +356,14 @@ def float_bits(values):
     return np.asarray(values, float).view(np.int64)
 
 
+def assert_same_chunks(got, want):
+    """The chunks hold the same trials: the same ``x`` bits and branch masks."""
+    assert len(got) == len(want)
+    for (x, forced, voluntary), (rx, rforced, rvoluntary) in zip(got, want):
+        assert np.array_equal(float_bits(x), float_bits(rx))
+        assert np.array_equal(forced, rforced) and np.array_equal(voluntary, rvoluntary)
+
+
 @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
 def test_the_chunk_kernel_matches_the_masked_copy(case):
     params, bid, chunks = kernel_chunks(case)
@@ -388,11 +398,7 @@ def test_chunks_skip_only_branch_uniforms_that_decide_nothing(monkeypatch, d, si
     params = AuctionParams(0.5, 0.5, p, q)
     for n in sizes:
         skipped.clear()
-        chunks = list(_chunks(d, params, 11, n))
-        assert len(chunks) == len(want := reference_chunks(d, params, 11, n))
-        for got, ref in zip(chunks, want):
-            assert np.array_equal(float_bits(got[0]), float_bits(ref[0]))
-            assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+        assert_same_chunks(list(_chunks(d, params, 11, n)), reference_chunks(d, params, 11, n))
         assert skipped == ([min(2**18, n - lo) for lo in range(0, n, 2**18)] if advances else [])
 
 
@@ -421,30 +427,12 @@ def test_simulation_holds_at_most_two_chunks():
     assert peak <= 9 * 2**20
 
 
-@pytest.mark.parametrize("d, params, bid", [
-    (U01, AuctionParams(0.5, 0.5), 0.1),
-    (Beta(2.0, 5.0), AuctionParams(0.5, 0.5, 0.2, 0.1), 0.05),
-], ids=["uniform", "beta-forced"])
-@pytest.mark.parametrize("n", [2**18 + 1, 3 * 2**18 + 5, 10**6])
-def test_one_thread_and_two_draw_the_same_trials(monkeypatch, d, params, bid, n):
-    results = []
-    for threads in (1, 2):
-        monkeypatch.setattr(simulate, "_THREADS", threads)
-        results.append((simulate_auction(d, params, SimConfig(n_trials=n, seed=13, bid=bid)),
-                        calibrate_zero_profit_bid(d, params, n, 13)))
-    assert repr(results[0]) == repr(results[1])  # repr tells every float apart, 0.0 from -0.0 too
-
-
 def test_a_quadrature_law_is_sampled_on_two_threads_as_on_one(monkeypatch):
-    # its draws call the Python pdf; small chunks keep the four of them quick
+    # its draws call the Python pdf; chunks of 64 trials keep them quick
     monkeypatch.setattr(simulate, "_CHUNK", 64)
     law, params = QuadratureDistribution(Beta(2.0, 5.0).pdf, Beta(2.0, 5.0).support), AuctionParams(0.2, 0.5)
-    results = []
-    for threads in (1, 2):
-        monkeypatch.setattr(simulate, "_THREADS", threads)
-        results.append((simulate_auction(law, params, SimConfig(n_trials=200, seed=13, bid=0.05)),
-                        calibrate_zero_profit_bid(law, params, 200, 13)))
-    assert repr(results[0]) == repr(results[1])
+    # four chunks: two pairs, each drawn on two threads
+    assert_same_chunks(list(_chunks(law, params, 13, 200)), reference_chunks(law, params, 13, 200, chunk=64))
 
 
 class SecondChunk(Uniform):
@@ -468,9 +456,7 @@ def fail(size):
     raise DrawFailed(size)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_failed_draw_is_raised_and_no_thread_outlives_it(monkeypatch, threads):
-    monkeypatch.setattr(simulate, "_THREADS", threads)
+def test_a_failed_draw_is_raised_and_no_thread_outlives_it():
     law, params, n = SecondChunk(fail), AuctionParams(0.5, 0.5), 3 * 2**18
     before = threading.active_count()
     for run in (lambda: simulate_auction(law, params, SimConfig(n_trials=n, seed=2, bid=0.1)),
@@ -480,10 +466,8 @@ def test_a_failed_draw_is_raised_and_no_thread_outlives_it(monkeypatch, threads)
         assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_every_chunk_is_drawn_under_the_callers_errstate(monkeypatch, threads):
-    # x - K overflows in the second chunk only; with two threads a helper draws it
-    monkeypatch.setattr(simulate, "_THREADS", threads)
+def test_every_chunk_is_drawn_under_the_callers_errstate():
+    # x - K overflows in the second chunk only, which a helper thread draws
     law, params, n = SecondChunk(lambda size: np.full(size, -1e308)), AuctionParams(1e308, 0.5), 2**18 + 1
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         list(_chunks(law, params, 3, n))
