@@ -139,10 +139,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 class Option(NamedTuple):
-    """One subcommand flag and the config-file key that sets the same value."""
+    """One subcommand flag.  Its name without ``--`` is the config-file key that
+    sets the same value; ``--config`` alone has no key."""
 
     flag: str
-    key: str | None  # None: cannot be set from a config file
     conv: Callable[[str], object]  # text -> value, for the flag and the config file
     default: object
     commands: tuple[str, ...]
@@ -154,31 +154,31 @@ MODEL = ("solve", "sweep", "simulate")  # compare-oracle is fixed to U(0,1), K =
 SINGLE = ("solve", "simulate")
 
 OPTIONS = (
-    Option("--dist", "dist", str, None, MODEL, dict(
+    Option("--dist", str, None, MODEL, dict(
         action="append", metavar="SPEC",
         help="distribution spec: uniform:<lo>,<hi> or beta:<a>,<b>")),
-    Option("--strike", "strike", float, DEFAULT_STRIKE, MODEL, dict(metavar="K")),
-    Option("--alpha", "alpha", float, None, SINGLE, dict(
+    Option("--strike", float, DEFAULT_STRIKE, MODEL, dict(metavar="K")),
+    Option("--alpha", float, None, SINGLE, dict(
         metavar="A", help="upfront share of the bid, in [0,1]")),
-    Option("--alpha-grid", "alpha-grid", str, "0,1,101", ("sweep", "compare-oracle"),
+    Option("--alpha-grid", str, "0,1,101", ("sweep", "compare-oracle"),
            dict(metavar="START,STOP,POINTS")),
-    Option("--p", "p", float, 0.0, MODEL, dict(metavar="P", help="forced-execution probability")),
-    Option("--q", "q", float, 0.0, MODEL, dict(metavar="Q", help="forced-failure probability")),
-    Option("--tol", "tol", float, 1e-12, ALL, dict(metavar="TOL")),
-    Option("--n", "n", int, 1_000_000, ("simulate",), dict(metavar="N")),
-    Option("--seed", "seed", int, 42, ("simulate",), dict(metavar="SEED")),
-    Option("--bid", "bid", float, None, ("simulate",), dict(
+    Option("--p", float, 0.0, MODEL, dict(metavar="P", help="forced-execution probability")),
+    Option("--q", float, 0.0, MODEL, dict(metavar="Q", help="forced-failure probability")),
+    Option("--tol", float, 1e-12, ALL, dict(metavar="TOL")),
+    Option("--n", int, 1_000_000, ("simulate",), dict(metavar="N")),
+    Option("--seed", int, 42, ("simulate",), dict(metavar="SEED")),
+    Option("--bid", float, None, ("simulate",), dict(
         metavar="B", help="override the analytic equilibrium bid")),
-    Option("--figure2", "figure2", _parse_bool, False, ("sweep",), dict(
+    Option("--figure2", _parse_bool, False, ("sweep",), dict(
         action="store_true", default=None,
         help="sweep the four default Beta laws and add a dist column")),
-    Option("--format", "format", str, "csv", ALL, dict(choices=("csv", "json"))),
-    Option("--config", None, str, None, ALL, dict(
+    Option("--format", str, "csv", ALL, dict(choices=("csv", "json"))),
+    Option("--config", str, None, ALL, dict(
         metavar="PATH", help="key = value defaults file")),
-    Option("--output", "output", str, None, ALL, dict(
+    Option("--output", str, None, ALL, dict(
         metavar="PATH", help="write output here instead of stdout")),
 )
-_BY_KEY = {opt.key: opt for opt in OPTIONS if opt.key is not None}
+_BY_KEY = {opt.flag[2:]: opt for opt in OPTIONS if opt.flag != "--config"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,13 +232,13 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _from_config(opt: Option, text):
+def _from_config(key: str, opt: Option, text):
     try:
         return [opt.conv(t) for t in text] if isinstance(text, list) else opt.conv(text)
     except InvalidParamsError:
         raise
     except (TypeError, ValueError) as exc:
-        raise InvalidParamsError(f"bad config value for {opt.key!r}: {text!r}") from exc
+        raise InvalidParamsError(f"bad config value for {key!r}: {text!r}") from exc
 
 
 def _settings(ns: argparse.Namespace) -> argparse.Namespace:
@@ -252,7 +252,7 @@ def _settings(ns: argparse.Namespace) -> argparse.Namespace:
         dest = key.replace("-", "_")  # argparse's name for the flag's value
         value = getattr(ns, dest, None)
         if value is None and key in config and ns.command in opt.commands:
-            value = _from_config(opt, config[key])
+            value = _from_config(key, opt, config[key])
         setattr(ns, dest, opt.default if value is None else value)
 
     command = ns.command

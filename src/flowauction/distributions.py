@@ -276,12 +276,12 @@ class Beta(Distribution):
         self._support = SupportInterval(0.0, 1.0)
 
     @classmethod
-    def _stacked(cls, shapes: np.ndarray) -> "Beta":
-        """A Beta whose shapes are the columns of the 2 × n array ``shapes``, each
+    def _stacked(cls, a: np.ndarray, b: np.ndarray) -> "Beta":
+        """A Beta whose shapes are the arrays ``a`` and ``b``, each pair ``a[k], b[k]``
         those of a valid law: ``cdf`` and ``partial_expectation`` read ``x[k]``
-        under column ``k``, as their formulas broadcast."""
+        under pair ``k``, as their formulas broadcast."""
         law = cls.__new__(cls)
-        law.a, law.b = shapes
+        law.a, law.b = a, b
         return law
 
     def __repr__(self):

@@ -108,11 +108,14 @@ def option_value(d: Distribution, t: float) -> float:
 
 
 class _Batch(NamedTuple):
-    """The fields of a sequence of :class:`AuctionParams`, one float64 array each,
-    with the mean of each element's law.
+    """One row per element of a batch: the fields of its :class:`AuctionParams`
+    and the columns of its law, one float64 array each.
 
     Every formula below reads the auction through one, so it serves a single
-    auction and a whole grid alike.
+    auction and a whole grid alike, and the rows of the searches still running
+    are a table of their own.  The laws are grouped by family: the elements
+    under Beta laws are one group, read through one Beta that holds their
+    shapes as columns, and each other law is a group of its own.
     """
 
     strike: np.ndarray
@@ -121,49 +124,43 @@ class _Batch(NamedTuple):
     contingent: np.ndarray  # 1 - alpha, the share of the bid paid on execution
     decides: np.ndarray  # 1 - p - q, the chance that the winner decides
     mean: np.ndarray  # the law's mean, which forced execution earns
+    lo: np.ndarray  # the law's support
+    hi: np.ndarray
+    group: np.ndarray  # the index of the law's group in groups
+    shape_a: np.ndarray  # the Beta shapes; 1 under the other laws
+    shape_b: np.ndarray
+    groups: list  # each group's law; Beta stands for the stacked group
     forced: bool  # whether any p is positive
 
     @classmethod
-    def of(cls, params_seq: Sequence[AuctionParams], means) -> "_Batch":
+    def of(cls, params_seq: Sequence[AuctionParams], laws: Sequence[Distribution]) -> "_Batch":
         columns = np.array([(x.strike, x.alpha, x.p, x.q) for x in params_seq], dtype=float)
         strike, alpha, p, q = columns.T
-        return cls(strike, alpha, p, 1.0 - alpha, 1.0 - p - q, np.asarray(means, dtype=float),
-                   bool((p > 0.0).any()))
-
-
-class _Laws:
-    """The law of each element of a batch, grouped by family: the elements under
-    Beta laws are one group, read through one Beta that holds their shapes as
-    columns, and each other law is a group of its own.  ``lo``, ``hi`` and
-    ``mean`` hold each element's support and mean."""
-
-    def __init__(self, laws: Sequence[Distribution]):
         starts = [i for i, law in enumerate(laws) if i == 0 or law is not laws[i - 1]]
         runs = [laws[i] for i in starts]
         keys = [Beta if type(law) is Beta else law for law in runs]
-        self.groups = list({id(key): key for key in keys}.values())  # Beta stands for the stacked group
-        number = {id(key): n for n, key in enumerate(self.groups)}
-        values = [(law.support.lo, law.support.hi, law.mean(), number[id(key)],
+        groups = list({id(key): key for key in keys}.values())
+        number = {id(key): n for n, key in enumerate(groups)}
+        values = [(law.mean(), law.support.lo, law.support.hi, number[id(key)],
                    *((law.a, law.b) if key is Beta else (1.0, 1.0))) for law, key in zip(runs, keys)]
-        columns = np.repeat(values, [b - a for a, b in pairwise([*starts, len(laws)])], axis=0).T
-        (self.lo, self.hi, self.mean, self.group), self.shapes = columns[:4], columns[4:]
+        law_columns = np.repeat(values, [b - a for a, b in pairwise([*starts, len(laws)])], axis=0).T
+        return cls(strike, alpha, p, 1.0 - alpha, 1.0 - p - q, *law_columns, groups, bool((p > 0.0).any()))
 
-    def read(self, i: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``cdf`` and ``partial_expectation`` at ``t[k]`` under the law of element
-        ``i[k]``: each group is read once, on its elements' rows."""
+    def read(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``cdf`` and ``partial_expectation`` at ``t[k]`` under the law of row ``k``:
+        each group is read once, on its rows."""
         if len(self.groups) == 1:
-            return self._read(self.groups[0], i, t)
+            return self._read(self.groups[0], t, slice(None))
         F, P = np.empty_like(t), np.empty_like(t)
-        group = self.group[i]
         for n, law in enumerate(self.groups):
-            k = np.flatnonzero(group == n)
+            k = np.flatnonzero(self.group == n)
             if k.size:
-                F[k], P[k] = self._read(law, i[k], t[k])
+                F[k], P[k] = self._read(law, t[k], k)
         return F, P
 
-    def _read(self, law, i: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _read(self, law, t: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
         if law is Beta:
-            law = Beta._stacked(self.shapes[:, i])
+            law = Beta._stacked(self.shape_a[k], self.shape_b[k])
         return law.cdf(t), law.partial_expectation(t)
 
 
@@ -235,7 +232,7 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return upper
 
 
-def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> dict[str, np.ndarray]:
+def _record_columns(batch: _Batch, b: np.ndarray) -> dict[str, np.ndarray]:
     """The fields of the record of bid ``b[i]`` under element ``i``, for every ``i``,
     as arrays keyed by field name: b, threshold, p_exec, spread, revenue and utility.
 
@@ -243,7 +240,7 @@ def _record_columns(laws: _Laws, batch: _Batch, b: np.ndarray) -> dict[str, np.n
     """
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         t = _threshold(batch, b)
-        F, P = laws.read(np.arange(len(b)), t)
+        F, P = batch.read(t)
         p_exec = batch.p + batch.decides * (1.0 - F)
         num = batch.decides * (P - batch.strike * (1.0 - F))  # E[(S - K) 1{execution}]
         if batch.forced:
@@ -271,8 +268,7 @@ def solution_at(d: Distribution, params: AuctionParams, b: float) -> Equilibrium
     the winner's expected utility at ``b``, which :func:`expected_utility`
     returns.  ``status`` is None: ``b`` was given, not solved.
     """
-    batch = _Batch.of([params], [d.mean()])
-    return _records(_record_columns(_Laws([d]), batch, np.array([b], dtype=float)), [None])[0]
+    return _records(_record_columns(_Batch.of([params], [d]), np.array([b], dtype=float)), [None])[0]
 
 
 def solve_equilibria(
@@ -289,11 +285,12 @@ def solve_columns(
     search, as columns: each record field but ``status`` as a float64 array keyed
     by its name (``effective_spread`` also where ``p_exec <= 0``, where the record
     holds None), and the statuses.  ``d`` is one law for every element, or a
-    sequence with one law per element.  The searched elements' indices and batch fields are passed to
-    :func:`find_crossings` as columns, so each round receives the rows of the
-    searches still running and reads each law family once, on their bids (all
-    Beta laws through one Beta holding each row's shapes, in any element
-    order); each element takes exactly the float steps a
+    sequence with one law per element.  The elements form one table, a row
+    each of auction fields and law columns, whose arrays are passed to
+    :func:`find_crossings` as its columns: each round receives the table of
+    the searches still running and reads each law family once, on their bids
+    (all Beta laws through one Beta holding each row's shapes, in any element
+    order).  Each element takes exactly the float steps a
     search of its own would, so element ``i`` of the result equals
     ``solve_equilibrium(d_i, params_seq[i], tol)``.  The execution-right
     check, the upper bracket, the boundary regimes and the residual gate are
@@ -312,22 +309,20 @@ def solve_columns(
     if not params_seq:
         return {field.name: np.empty(0) for field in fields(EquilibriumSolution)[:-1]}, []
     check_tol(tol)
-    laws = _Laws(each)
-    lo, hi = laws.lo, laws.hi
-    batch = _Batch.of(params_seq, laws.mean)
+    batch = _Batch.of(params_seq, each)
+    lo, hi = batch.lo, batch.hi
     upper = _bid_bracket(hi, batch.strike, batch.alpha)
     refused = _worthless(batch.strike, hi, batch.p) | ~np.isfinite(upper)
     eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
     solved = ~(eroded | refused)
 
-    def utility(bids: np.ndarray, i: np.ndarray, *rows: np.ndarray) -> np.ndarray:
-        at = _Batch(*rows, batch.forced)
+    def utility(bids: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+        at = _Batch(*rows, batch.groups, batch.forced)
         t = _threshold(at, bids)
-        return _utility(at, bids, t, *laws.read(i, t))
+        return _utility(at, bids, t, *at.read(t))
 
     def crossings(i: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the element index, for the laws, and the batch fields ride along as columns
-        return find_crossings(utility, np.zeros(i.size), top, i, *(column[i] for column in batch[:-1]))
+        return find_crossings(utility, np.zeros(i.size), top, *(column[i] for column in batch[:-2]))
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         b = np.where(eroded, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
@@ -342,7 +337,7 @@ def solve_columns(
             b[again], bracketed = crossings(again, 2.0 * upper[again])
             unbracketed[again] = ~bracketed
 
-        columns = _record_columns(laws, batch, b)
+        columns = _record_columns(batch, b)
         residual = columns["residual"]
         # the search stops at once where utility at b = 0 is already nonpositive
         zero_bid = solved & (b == 0.0) & (residual <= 0.0)

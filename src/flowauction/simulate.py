@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import mmap
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -73,8 +74,9 @@ class SimResult:
 
     ``mean_spread_given_exec`` averages ``S - K`` over executed trials only
     and is None when no trial executed.  Standard errors use the plain
-    sample-variance estimate; they are NaN when the squared gains or spreads
-    overflow.
+    sample-variance estimate, taken at a power-of-two scale so that the
+    squares of tiny gains and spreads do not underflow; they are NaN when the
+    squared gains or spreads overflow.
     """
 
     mean_utility: float
@@ -172,9 +174,10 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
             yield chunks.pop()  # only the caller holds a chunk it was given
 
 
-def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
-    """Each trial's execution indicator and gain ``x - (1-alpha)*bid`` (0 where it does not execute)."""
-    gain = x - (1.0 - params.alpha) * bid
+def _settle(paid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
+    """Each trial's execution indicator and gain ``x - paid`` (0 where it does not
+    execute), ``paid`` being the contingent payment ``(1-alpha)*bid``."""
+    gain = x - paid
     executed = gain > 0.0
     executed &= voluntary
     executed |= forced
@@ -191,9 +194,25 @@ def _settle(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray
     return executed, gain
 
 
-def _moments(params: AuctionParams, bid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
-    """One chunk's sums of gain and squared gain, executed count, and sums of spread and squared spread."""
-    executed, gain = _settle(params, bid, x, forced, voluntary)
+def _scale(d: Distribution, params: AuctionParams, bid: float) -> float:
+    """The power of two ``s >= 1`` by which a simulation multiplies every trial's
+    ``x`` before it takes moments.  ``max(|lo - K|, |hi - K|) + |(1-alpha)*bid|``
+    bounds each gain and spread; ``s`` lifts a bound below 1/2 into [1/2, 1), so
+    that their squares do not underflow; ``s`` stops at 2**1023, which a
+    subnormal bound would pass.  Where nothing underflows or overflows, the
+    scaling is exact and dividing by ``s`` undoes it bit for bit."""
+    lo, hi, strike = d.support.lo, d.support.hi, params.strike
+    bound = max(abs(lo - strike), abs(hi - strike)) + abs((1.0 - params.alpha) * bid)
+    return math.ldexp(1.0, min(max(-math.frexp(bound)[1], 0), sys.float_info.max_exp - 1))
+
+
+def _moments(params: AuctionParams, bid: float, scale: float, x: np.ndarray, forced: np.ndarray,
+             voluntary: np.ndarray):
+    """One chunk's sums of gain and squared gain, executed count, and sums of spread and
+    squared spread, each gain and spread multiplied by ``scale`` (see :func:`_scale`)."""
+    if scale != 1.0:
+        x *= scale
+    executed, gain = _settle((1.0 - params.alpha) * bid * scale, x, forced, voluntary)
     sum_gain = float(gain.sum())
     sum_gain2 = float(np.multiply(gain, gain, out=gain).sum())
     del gain  # spent; np.compress's index temporary takes its memory
@@ -232,14 +251,17 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     """
     check_execution_right(d, params)
     n = cfg.n_trials
-    moments = itertools.starmap(functools.partial(_moments, params, cfg.bid), _chunks(d, params, cfg.seed, n))
+    scale = _scale(d, params, cfg.bid)
+    moments = itertools.starmap(functools.partial(_moments, params, cfg.bid, scale),
+                                _chunks(d, params, cfg.seed, n))
     gains, gains2, n_execs, spreads, spreads2 = zip(*moments)
     sum_gain, sum_gain2, sum_spread, sum_spread2 = map(math.fsum, (gains, gains2, spreads, spreads2))
     n_exec = sum(n_execs)
 
-    mean_gain = sum_gain / n
+    # the variances are taken at the scale of the moments, and each result divided by it
+    mean_gain = sum_gain / scale / n
     mean_utility = mean_gain - params.alpha * cfg.bid
-    se_utility = math.sqrt(_sample_var(sum_gain, sum_gain2, n) / n)
+    se_utility = math.sqrt(_sample_var(sum_gain, sum_gain2, n) / n) / scale
 
     exec_rate = n_exec / n
     var_exec = n * exec_rate * (1.0 - exec_rate) / (n - 1) if n > 1 else 0.0
@@ -251,8 +273,8 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     se_revenue = abs((1.0 - params.alpha) * cfg.bid) * se_exec
 
     if n_exec > 0:
-        mean_spread = sum_spread / n_exec
-        se_spread = math.sqrt(_sample_var(sum_spread, sum_spread2, n_exec) / n_exec)
+        mean_spread = sum_spread / scale / n_exec
+        se_spread = math.sqrt(_sample_var(sum_spread, sum_spread2, n_exec) / n_exec) / scale
     else:
         mean_spread = None
         se_spread = 0.0

@@ -7,8 +7,14 @@ every command in both formats, forced outcomes, and extreme literals in any
 numeric option.  The test replays each argv in process and compares all
 three.  After a change that alters output on purpose, rewrite the corpus
 with ``PYTHONPATH=src python tests/test_cli_fuzz.py`` and review the diff.
+
+Run as a script, this file writes a corpus of ``--size`` argvs drawn at
+``--seed`` to ``--output``; the defaults rewrite the committed corpus.  A
+fresh corpus written against the ``src`` of each of two checkouts, at one
+seed, shows by its diff every argv whose behaviour they do not share.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -82,5 +88,11 @@ def test_the_corpus_replays_byte_for_byte():
 
 
 if __name__ == "__main__":
-    rng = random.Random(SEED)
-    CORPUS.write_text("".join(json.dumps(run(fuzz_argv(rng))) + "\n" for _ in range(SIZE)), encoding="utf-8")
+    parser = argparse.ArgumentParser(description="Write a corpus of fuzzed argvs and what each does.")
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--size", type=int, default=SIZE)
+    parser.add_argument("--output", type=Path, default=CORPUS)
+    args = parser.parse_args()
+    rng = random.Random(args.seed)
+    args.output.write_text("".join(json.dumps(run(fuzz_argv(rng))) + "\n" for _ in range(args.size)),
+                           encoding="utf-8")

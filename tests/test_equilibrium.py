@@ -26,7 +26,7 @@ from flowauction import (
 )
 from flowauction import distributions
 from flowauction.cli import main
-from flowauction.equilibrium import _Laws, solution_at, upper_bid_bracket
+from flowauction.equilibrium import _Batch, _record_columns, solution_at, upper_bid_bracket
 from test_bisect import find_crossing
 
 U01 = Uniform(0.0, 1.0)
@@ -449,14 +449,14 @@ def test_the_figure2_sweep_reads_each_law_family_once_a_round(monkeypatch, tmp_p
         calls["betainc"] += 1
         return special.betainc(*args)
 
-    def read(laws, i, t):
+    def read(table, t):
         calls["read"] += 1
-        return original(laws, i, t)
+        return original(table, t)
 
-    original = _Laws.read
+    original = _Batch.read
     stand_in = SimpleNamespace(betainc=betainc, betaln=special.betaln)
     monkeypatch.setattr(distributions, "_special", lambda: stand_in)
-    monkeypatch.setattr(_Laws, "read", read)
+    monkeypatch.setattr(_Batch, "read", read)
     assert main(["sweep", "--figure2", "--output", str(tmp_path / "figure2.csv")]) == 0
     assert calls["betainc"] <= 2 * calls["read"] and calls["betainc"] <= 40
 
@@ -479,10 +479,11 @@ READS = [(d, edge_points(d)[k]) for k in range(10) for d in MIXED]
 @settings(max_examples=40, deadline=None)
 @given(running=st.lists(st.booleans(), min_size=len(READS), max_size=len(READS)))
 def test_a_grouped_read_equals_each_laws_own(running):
-    laws = _Laws([d for d, _ in READS])
-    assert laws.lo.tolist() == [d.support.lo for d, _ in READS]
+    table = _Batch.of([AuctionParams(0.0, 0.5)] * len(READS), [d for d, _ in READS])
+    assert table.lo.tolist() == [d.support.lo for d, _ in READS]
     i = np.flatnonzero(running)
-    F, P = laws.read(i, np.array([READS[k][1] for k in i.tolist()]))
+    rows = _Batch(*(column[i] for column in table[:-2]), table.groups, table.forced)  # the rows still running
+    F, P = rows.read(np.array([READS[k][1] for k in i.tolist()]))
     np.testing.assert_array_equal(F, [READS[k][0].cdf(READS[k][1]) for k in i.tolist()])
     np.testing.assert_array_equal(P, [READS[k][0].partial_expectation(READS[k][1]) for k in i.tolist()])
 
@@ -524,6 +525,18 @@ def test_a_batch_gives_each_element_what_it_gives_alone(cases, data):
     shuffled, shuffled_statuses = solve_columns([laws[k] for k in order], [grid[k] for k in order])
     assert hex_rows(shuffled) == [rows[k] for k in order]
     assert shuffled_statuses == [statuses[k] for k in order]
+
+
+def test_the_forced_term_is_added_only_where_p_is_positive():
+    # at p = 0 the forced term is 0 * (mean - K - (1 - alpha) * b), which is NaN
+    # where the bracket overflows: it must not be added, alone or beside a p > 0 element
+    assert solution_at(Uniform(-1e308, 0.0), AuctionParams(-2.0, 0.0, q=0.5), 1.5e308).residual == 0.0
+    d, params, b = Uniform(0.5e308, 1e308), AuctionParams(-1.5e308, 0.0), 1.5e308  # mean - K overflows
+    forced = AuctionParams(0.5, 0.5, p=0.5)
+    columns = _record_columns(_Batch.of([params, forced], [d, U01]), np.array([b, 0.3]))
+    for k, lone in enumerate([solution_at(d, params, b), solution_at(U01, forced, 0.3)]):
+        assert [float(column[k]).hex() for column in columns.values()] == [
+            float(getattr(lone, key)).hex() for key in columns]
 
 
 class TestAuctionParams:

@@ -135,6 +135,19 @@ class TestSimulateAuction:
             assert value is None or math.isfinite(value), name
         assert (res.mean_spread_given_exec is None) == (n_exec == 0)
 
+    def test_prices_near_2_to_the_minus_600_scale_every_estimate(self):
+        # the squared gains and spreads, near 2**-1200, would underflow to 0 and
+        # so would the standard errors; the rates do not scale
+        tiny = 2.0**-600
+        params, small = AuctionParams(0.5, 0.5, p=0.1, q=0.2), AuctionParams(0.5 * tiny, 0.5, p=0.1, q=0.2)
+        bid = solve_equilibrium(U01, params).b_star
+        unit = simulate_auction(U01, params, SimConfig(n_trials=10_000, seed=7, bid=bid))
+        res = simulate_auction(Uniform(0.0, tiny), small, SimConfig(n_trials=10_000, seed=7, bid=bid * tiny))
+        for name, value in vars(unit).items():
+            rate = name in ("exec_rate", "se_exec", "n_exec")
+            assert getattr(res, name) == (value if rate else value * tiny), name
+        assert res.se_utility > 0.0 and res.se_spread > 0.0
+
     def test_strike_above_support_rejected(self):
         with pytest.raises(InvalidParamsError):
             simulate_auction(
@@ -371,10 +384,11 @@ def test_the_chunk_kernel_matches_the_masked_copy(case):
         # the kernel may not signal an invalid operation where the masked copy does not
         with np.errstate(over="ignore", invalid="raise"):
             want_executed, want_gain = reference_settle(params, bid, x, forced, voluntary)
-            executed, gain = _settle(params, bid, x, forced, voluntary)
+            executed, gain = _settle((1.0 - params.alpha) * bid, x, forced, voluntary)
             assert np.array_equal(executed, want_executed)
             assert np.array_equal(float_bits(gain), float_bits(want_gain))
-            want, got = (f(params, bid, x.copy(), forced, voluntary) for f in (reference_moments, _moments))
+            want = reference_moments(params, bid, x.copy(), forced, voluntary)
+            got = _moments(params, bid, 1.0, x.copy(), forced, voluntary)
         assert got[2] == want[2]
         assert np.array_equal(float_bits(got[:2] + got[3:]), float_bits(want[:2] + want[3:]))
 
@@ -539,7 +553,7 @@ def test_the_exact_root_is_a_crossing_of_the_direct_mean(batch):
 
     def utility_and_bound(bid):
         """``_settle``'s mean utility at ``bid``, and the rounding allowed in it."""
-        executed, gain = _settle(params, bid, x, forced, voluntary)
+        executed, gain = _settle(c * bid, x, forced, voluntary)
         # the root sums the same executed gains x - c*bid, in other orders and groupings
         scale = (np.abs(x[executed]).sum() + executed.sum() * c * abs(bid)) / len(x) + params.alpha * abs(bid)
         return float(gain.mean()) - params.alpha * bid, 16 * sys.float_info.epsilon * scale
