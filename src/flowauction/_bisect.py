@@ -26,7 +26,7 @@ _MIN_STEP = 2.0 * sys.float_info.epsilon
 
 def find_crossings(
     f: Callable[..., np.ndarray], lo: Sequence[float], hi: Sequence[float], *columns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Where each of many nonincreasing functions crosses from positive to
     nonpositive, one search per element of ``lo`` and ``hi``, run in lockstep.
 
@@ -51,13 +51,12 @@ def find_crossings(
     root, or the bracket is two adjacent floats; then the midpoint, rounded
     to one of them, is.
 
-    Returns ``(roots, bracketed)``, a float64 and a bool array: where
-    ``f(hi) > 0``, ``bracketed`` is False and the root NaN.
+    Returns ``roots``, a float64 array that is NaN exactly where ``f(hi) > 0``.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    roots, bracketed = lo.copy(), np.ones(lo.size, dtype=bool)
+    roots = lo.copy()
     if not lo.size:
-        return roots, bracketed
+        return roots
     rows = [np.arange(lo.size), *columns]  # rows[0]: the element of each running search
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         f_lo = np.asarray(f(lo, *rows[1:]), dtype=float)  # the first round asks every search for f(lo)
@@ -67,7 +66,7 @@ def find_crossings(
         f_hi = np.asarray(f(hi, *rows[1:]), dtype=float) if hi.size else hi  # the second round, for f(hi)
         keep = ~(f_hi > 0.0)  # f(hi) > 0: the bracket holds no crossing
         if not keep.all():
-            roots[rows[0][~keep]], bracketed[rows[0][~keep]] = np.nan, False
+            roots[rows[0][~keep]] = np.nan
             rows, lo, hi, f_lo, f_hi = [r[keep] for r in rows], lo[keep], hi[keep], f_lo[keep], f_hi[keep]
         # the state of the running searches.  x: the point each asks for next,
         # a: the newest point, b: the other bracket end, each with f there;
@@ -91,7 +90,7 @@ def find_crossings(
                 break
             fx = np.asarray(f(x, *rows[1:]), dtype=float)
             x, mid, collapsed, a, fa, b, fb, w2, w1 = _step(np.where, x, fx, a, fa, b, fb, w2, w1)
-    return roots, bracketed
+    return roots
 
 
 def _alone(f, rows, x, a, fa, b, fb, w2, w1):

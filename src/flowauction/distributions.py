@@ -159,16 +159,16 @@ class SupportInterval:
 
 
 class Distribution(ABC):
-    """A price law with compact support.
+    """A price law with compact support, :attr:`support`; a law implements the abstract rest.
 
     Evaluation methods are pure and thread-safe.  ``sample`` mutates only the
     generator passed by the caller; use one generator per thread.
     """
 
     @property
-    @abstractmethod
     def support(self) -> SupportInterval:
-        ...
+        """The interval carrying the law's mass, read-only; every law sets ``_support`` in ``__init__``."""
+        return self._support
 
     @abstractmethod
     def cdf(self, x):
@@ -214,10 +214,6 @@ class Uniform(Distribution):
 
     def __repr__(self):
         return f"Uniform({self._support.lo}, {self._support.hi})"
-
-    @property
-    def support(self) -> SupportInterval:
-        return self._support
 
     def cdf(self, x):
         lo, hi = self._support.lo, self._support.hi
@@ -286,10 +282,6 @@ class Beta(Distribution):
 
     def __repr__(self):
         return f"Beta({self.a}, {self.b})"
-
-    @property
-    def support(self) -> SupportInterval:
-        return self._support
 
     def cdf(self, x):
         def cdf(x):
@@ -410,10 +402,6 @@ class QuadratureDistribution(Distribution):
     def __repr__(self):
         return f"QuadratureDistribution({self._raw_pdf!r}, {self._support!r}, tol={self._tol!r})"
 
-    @property
-    def support(self) -> SupportInterval:
-        return self._support
-
     def cdf(self, x):
         def cdf(x):
             lo, hi = self._support.lo, self._support.hi
@@ -452,7 +440,7 @@ class QuadratureDistribution(Distribution):
         u = np.asarray(rng.random(size))
         flat, lo, hi = u.reshape(-1), self._support.lo, self._support.hi
         # u < 1 = cdf(hi), so every search brackets its crossing at once
-        x, _ = find_crossings(lambda x, u: u - self.cdf(x), [lo] * u.size, [hi] * u.size, flat)
+        x = find_crossings(lambda x, u: u - self.cdf(x), [lo] * u.size, [hi] * u.size, flat)
         return float(x[0]) if size is None else x.reshape(u.shape)
 
 

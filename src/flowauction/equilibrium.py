@@ -294,8 +294,8 @@ def solve_columns(
     search of its own would, so element ``i`` of the result equals
     ``solve_equilibrium(d_i, params_seq[i], tol)``.  The execution-right
     check, the upper bracket, the boundary regimes and the residual gate are
-    array arithmetic over all elements, and each outcome is a mask: refused,
-    unbracketed (also from twice the bracket) or gated by the residual.
+    array arithmetic over all elements, and each outcome is a mask: refused, or gated by the
+    residual, which also fails the NaN bid of a search bracketing no crossing from twice the bracket.
     Python runs per element only to build the statuses and the message of a
     failure.  When elements fail, the error raised is the first failing
     element's, as a loop over ``params_seq`` would raise it.
@@ -321,21 +321,19 @@ def solve_columns(
         t = _threshold(at, bids)
         return _utility(at, bids, t, *at.read(t))
 
-    def crossings(i: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def crossings(i: np.ndarray, top: np.ndarray) -> np.ndarray:
         return find_crossings(utility, np.zeros(i.size), top, *(column[i] for column in batch[:-2]))
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         b = np.where(eroded, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
-        unbracketed = np.zeros(len(params_seq), dtype=bool)
         search = np.flatnonzero(solved)
-        b[search], bracketed = crossings(search, upper[search])
-        if not bracketed.all():
+        b[search] = crossings(search, upper[search])
+        again = search[np.isnan(b[search])]  # a NaN root: the bracket holds no crossing
+        if again.size:
             # the threshold at the upper bracket can round to just below the support
             # top, where a sliver of option value outweighs a tiny alpha * b: those
             # searches run again from twice the bracket, which no rounding undoes
-            again = search[~bracketed]
-            b[again], bracketed = crossings(again, 2.0 * upper[again])
-            unbracketed[again] = ~bracketed
+            b[again] = crossings(again, 2.0 * upper[again])
 
         columns = _record_columns(batch, b)
         residual = columns["residual"]
@@ -344,10 +342,10 @@ def solve_columns(
         m = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), np.abs(batch.strike))
         scale = m * np.maximum(1.0, m / (hi - lo))
         gated = solved & ~zero_bid & ~(np.isfinite(b) & (np.abs(residual) <= tol * scale))  # NaN fails too
-    failing = refused | gated | unbracketed
+    failing = refused | gated
     if failing.any():
         i = int(np.argmax(failing))
-        if unbracketed[i]:
+        if np.isnan(b[i]):  # no crossing, also from twice the bracket
             raise BracketError(f"no sign change up to {2.0 * float(upper[i])}; f is positive at both ends")
         # a refused element raises from the checks that refused it, with their messages
         check_execution_right(each[i], params_seq[i])

@@ -22,9 +22,9 @@ def no_crossing(hi):
 def find_crossing(f, lo, hi):
     """The crossing of a nonincreasing ``f`` from positive to nonpositive, searched
     from ``[lo, hi]`` as ``find_crossings`` describes; raises a :class:`BracketError`
-    where its ``bracketed`` mask says ``f(hi)`` is positive too."""
-    (root,), (bracketed,) = find_crossings(lambda x: np.array([f(float(x[0]))]), [lo], [hi])
-    if not bracketed:
+    where its root is NaN: ``f(hi)`` is positive too."""
+    (root,) = find_crossings(lambda x: np.array([f(float(x[0]))]), [lo], [hi])
+    if np.isnan(root):
         raise no_crossing(hi)
     return float(root)
 
@@ -146,15 +146,14 @@ def test_nonpositive_at_lo_returns_lo_after_one_evaluation(f_lo):
 def lockstep(cases):
     """``find_crossings`` over ``(f, lo, hi)`` cases, each ``f`` passed as a column and
     called on its own points: each case's root, or a :class:`BracketError` where the
-    ``bracketed`` mask is False."""
+    root is NaN."""
     def f(points, fs):
         return np.array([g(x) for g, x in zip(fs, points.tolist())])
 
     his = [hi for _, _, hi in cases]
-    roots, bracketed = find_crossings(f, [lo for _, lo, _ in cases], his,
-                                      np.array([g for g, _, _ in cases], dtype=object))
-    assert roots.dtype == float and bracketed.dtype == bool and np.isnan(roots[~bracketed]).all()
-    return [root if ok else no_crossing(hi) for root, ok, hi in zip(roots.tolist(), bracketed.tolist(), his)]
+    roots = find_crossings(f, [lo for _, lo, _ in cases], his, np.array([g for g, _, _ in cases], dtype=object))
+    assert roots.dtype == float
+    return [no_crossing(hi) if math.isnan(root) else root for root, hi in zip(roots.tolist(), his)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,10 +190,10 @@ def test_lockstep_calls_f_once_per_round_on_the_running_searches():
         assert len(points) == len(shift) and label.dtype == labels.dtype
         return shift - points
 
-    roots, bracketed = find_crossings(f, [0.0] * 6, [1.0] * 6, shifts, labels)
-    assert bracketed.tolist() == [True, True, True, False, True, True]
-    for k, (root, shift) in enumerate(zip(roots.tolist(), shifts.tolist())):
-        if bracketed[k]:
+    roots = find_crossings(f, [0.0] * 6, [1.0] * 6, shifts, labels)
+    assert np.isnan(roots).tolist() == [False, False, False, True, False, False]
+    for root, shift in zip(roots.tolist(), shifts.tolist()):
+        if not math.isnan(root):
             assert root == find_crossing(lambda x: shift - x, 0.0, 1.0)
     # in each round, f receives the rows of exactly the searches still running, in order
     assert len(received) == max(evals)
@@ -202,8 +201,8 @@ def test_lockstep_calls_f_once_per_round_on_the_running_searches():
         running = [k for k in range(6) if evals[k] > r]
         assert shift_rows == shifts[running].tolist() and label_rows == labels[running].tolist()
     assert len({len(rows) for rows, _ in received}) > 2  # searches did end in several rounds
-    roots, bracketed = find_crossings(f, [], [], shifts[:0], labels[:0])
-    assert roots.size == bracketed.size == 0 and len(received) == max(evals)
+    roots = find_crossings(f, [], [], shifts[:0], labels[:0])
+    assert roots.size == 0 and roots.dtype == float and len(received) == max(evals)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ def test_support_interval_validation():
         SupportInterval(-1e308, 1e308)  # hi - lo overflows
 
 
+@pytest.mark.parametrize("law", [Uniform(-1.0, 2.0), Beta(2.0, 5.0),
+                                 QuadratureDistribution(lambda x: 1.0, SupportInterval(3.0, 4.0))])
+def test_support_is_the_interval_the_law_was_built_on_and_read_only(law):
+    want = {Uniform: (-1.0, 2.0), Beta: (0.0, 1.0), QuadratureDistribution: (3.0, 4.0)}[type(law)]
+    assert isinstance(law.support, SupportInterval) and (law.support.lo, law.support.hi) == want
+    with pytest.raises(AttributeError):
+        law.support = SupportInterval(0.0, 9.0)
+    assert (law.support.lo, law.support.hi) == want
+
+
 class TestUniform:
     def test_cdf_linear(self):
         d = Uniform(0.0, 1.0)
