@@ -42,6 +42,9 @@ CASES = [
     *both_formats("simulate-no-exec", "simulate", "--alpha", "0.5", "--bid", "1.2", "--n", "50000"),
     *both_formats("simulate-bid", "simulate", "--alpha", "0.5", "--bid", "0.1", "--n", "50000",
                   "--seed", "3"),
+    # a support far below 1 is scaled up by a power of two before its gains are summed
+    *both_formats("simulate-tiny", "simulate", "--dist", "uniform:0,1e-200", "--strike", "5e-201",
+                  "--alpha", "0.5", "--n", "2000", "--seed", "4"),
     *both_formats("compare-oracle", "compare-oracle", "--alpha-grid", "0,1,11"),
     ("sweep-config.json", ("sweep", "--config", str(GOLDEN / "sweep.cfg"), "--strike", "0.4")),
 ]
