@@ -74,9 +74,9 @@ class SimResult:
 
     ``mean_spread_given_exec`` averages ``S - K`` over executed trials only
     and is None when no trial executed.  Standard errors use the plain
-    sample-variance estimate, taken at a power-of-two scale so that the
-    squares of tiny gains and spreads do not underflow; they are NaN when the
-    squared gains or spreads overflow.
+    sample-variance estimate, taken at a power-of-two scale that brings the
+    gains and spreads near 1, so that their squares neither underflow nor
+    overflow.
     """
 
     mean_utility: float
@@ -195,15 +195,16 @@ def _settle(paid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarra
 
 
 def _scale(d: Distribution, params: AuctionParams, bid: float) -> float:
-    """The power of two ``s >= 1`` by which a simulation multiplies every trial's
-    ``x`` before it takes moments.  ``max(|lo - K|, |hi - K|) + |(1-alpha)*bid|``
-    bounds each gain and spread; ``s`` lifts a bound below 1/2 into [1/2, 1), so
-    that their squares do not underflow; ``s`` stops at 2**1023, which a
-    subnormal bound would pass.  Where nothing underflows or overflows, the
-    scaling is exact and dividing by ``s`` undoes it bit for bit."""
+    """The power of two ``s`` by which a simulation multiplies every trial's ``x``
+    before it takes moments.  ``max(|lo - K|, |hi - K|) + |(1-alpha)*bid|`` bounds
+    each gain and spread; ``s`` puts the bound into [1/2, 1) from either side, so
+    that their squares neither underflow nor overflow; ``s`` is 1 at a bound of 0
+    or inf and stops at 2**1023, which a subnormal bound would pass.  Where nothing
+    underflows or overflows, the scaling is exact and dividing by ``s`` undoes it
+    bit for bit."""
     lo, hi, strike = d.support.lo, d.support.hi, params.strike
     bound = max(abs(lo - strike), abs(hi - strike)) + abs((1.0 - params.alpha) * bid)
-    return math.ldexp(1.0, min(max(-math.frexp(bound)[1], 0), sys.float_info.max_exp - 1))
+    return math.ldexp(1.0, min(-math.frexp(bound)[1], sys.float_info.max_exp - 1))
 
 
 def _moments(params: AuctionParams, bid: float, scale: float, x: np.ndarray, forced: np.ndarray,
@@ -258,8 +259,9 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     sum_gain, sum_gain2, sum_spread, sum_spread2 = map(math.fsum, (gains, gains2, spreads, spreads2))
     n_exec = sum(n_execs)
 
-    # the variances are taken at the scale of the moments, and each result divided by it
-    mean_gain = sum_gain / scale / n
+    # the variances are taken at the scale of the moments, and each result divided by it,
+    # after the count, so that undoing a scale below 1 does not overflow
+    mean_gain = sum_gain / n / scale
     mean_utility = mean_gain - params.alpha * cfg.bid
     se_utility = math.sqrt(_sample_var(sum_gain, sum_gain2, n) / n) / scale
 
@@ -273,7 +275,7 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     se_revenue = abs((1.0 - params.alpha) * cfg.bid) * se_exec
 
     if n_exec > 0:
-        mean_spread = sum_spread / scale / n_exec
+        mean_spread = sum_spread / n_exec / scale
         se_spread = math.sqrt(_sample_var(sum_spread, sum_spread2, n_exec) / n_exec) / scale
     else:
         mean_spread = None

@@ -23,6 +23,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_simulate(argv):
+    """``python -m flowauction simulate *argv`` in a fresh process, whose stderr shows any warning."""
+    env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "flowauction", "simulate", *argv],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, data = rows[0], [r for r in rows[1:] if r and not r[0].startswith("#")]
@@ -370,20 +377,33 @@ class TestExitContract:
             assert out.count("\n") == 102
 
     @pytest.mark.parametrize("argv", [
-        # the bid is finite there; the sum of its trials' gains overflows
-        ("--dist", "uniform:0,1e307", "--alpha", "0.5", "--strike=0", "--n", "2000", "--format", "json"),
-        # the gains and their sum are finite, but their squares overflow: the standard errors were 0
-        ("--dist", "uniform:0,1e200", "--strike", "5e199", "--alpha", "0.5", "--n", "1000"),
-    ], ids=["overflowing-sum", "overflowing-squares"])
+        # S - K overflows to -inf in the forced trials
+        ("--dist", "uniform:-1e308,1e307", "--strike", "1e308", "--p", "0.5", "--alpha", "1", "--n", "2000"),
+        # S - K overflows to inf in the voluntary trials near the support top, which execute
+        ("--dist", "uniform:1e307,1.7e308", "--strike=-1e308", "--alpha", "0.5", "--bid", "1", "--n", "2000",
+         "--format", "json"),
+    ], ids=["overflowing-forced-spread", "overflowing-voluntary-spread"])
     def test_simulate_non_finite_exits_3_without_warnings(self, argv):
-        env = {**os.environ, "PYTHONPATH": str(Path(flowauction.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowauction", "simulate", *argv],
-            capture_output=True, text=True, env=env, timeout=120, check=False,
-        )
+        proc = run_simulate(argv)
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("numeric failure: mean_utility is ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # the sum of the gains would overflow, unscaled
+        ("--dist", "uniform:0,1e307", "--alpha", "0.5", "--strike=0", "--n", "2000", "--format", "json"),
+        ("--dist", "uniform:0,1e308", "--strike", "0", "--alpha", "1", "--n", "3000", "--format", "json"),
+        # the squares of the gains would overflow, unscaled
+        ("--dist", "uniform:0,1e200", "--strike", "5e199", "--alpha", "0.5", "--n", "1000", "--format", "json"),
+        ("--dist", "uniform:1e300,1.0000000001e300", "--strike", "1e300", "--alpha", "0.5", "--n", "1000",
+         "--format", "json"),
+    ], ids=["summed-gains", "summed-gains-at-alpha-1", "squared-gains", "squared-gains-far-from-zero"])
+    def test_simulate_on_huge_supports_scales_its_gains_down(self, argv):
+        proc = run_simulate(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = json.loads(proc.stdout)
+        assert all(math.isfinite(v) for v in row.values())
+        assert all(abs(row[z]) < 5.0 for z in ("z_utility", "z_exec", "z_revenue", "z_spread"))
 
 
 class TestRender:

@@ -148,6 +148,18 @@ class TestSimulateAuction:
             assert getattr(res, name) == (value if rate else value * tiny), name
         assert res.se_utility > 0.0 and res.se_spread > 0.0
 
+    def test_prices_near_2_to_the_600_scale_every_estimate(self):
+        # the squared gains and spreads, near 2**1200, would overflow to inf and
+        # so would the standard errors; the rates do not scale
+        huge = 2.0**600
+        params, big = AuctionParams(0.5, 0.5, p=0.1, q=0.2), AuctionParams(0.5 * huge, 0.5, p=0.1, q=0.2)
+        bid = solve_equilibrium(U01, params).b_star
+        unit = simulate_auction(U01, params, SimConfig(n_trials=10_000, seed=7, bid=bid))
+        res = simulate_auction(Uniform(0.0, huge), big, SimConfig(n_trials=10_000, seed=7, bid=bid * huge))
+        for name, value in vars(unit).items():
+            rate = name in ("exec_rate", "se_exec", "n_exec")
+            assert getattr(res, name) == (value if rate else value * huge), name
+
     def test_strike_above_support_rejected(self):
         with pytest.raises(InvalidParamsError):
             simulate_auction(
