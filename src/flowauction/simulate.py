@@ -197,11 +197,10 @@ def _settle(paid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarra
 def _scale(d: Distribution, params: AuctionParams, bid: float) -> float:
     """The power of two ``s`` by which a simulation multiplies every trial's ``x``
     before it takes moments.  ``max(|lo - K|, |hi - K|) + |(1-alpha)*bid|`` bounds
-    each gain and spread; ``s`` puts the bound into [1/2, 1) from either side, so
-    that their squares neither underflow nor overflow; ``s`` is 1 at a bound of 0
-    or inf and stops at 2**1023, which a subnormal bound would pass.  Where nothing
-    underflows or overflows, the scaling is exact and dividing by ``s`` undoes it
-    bit for bit."""
+    each gain and spread; ``s`` puts the bound into [1/2, 1) from either side, so that
+    their squares neither underflow nor overflow (``s`` is 1 at a bound of 0 or inf and
+    stops at 2**1023, which a subnormal bound would pass).  Where nothing underflows
+    or overflows, the scaling is exact and dividing by ``s`` undoes it bit for bit."""
     lo, hi, strike = d.support.lo, d.support.hi, params.strike
     bound = max(abs(lo - strike), abs(hi - strike)) + abs((1.0 - params.alpha) * bid)
     return math.ldexp(1.0, min(-math.frexp(bound)[1], sys.float_info.max_exp - 1))
@@ -259,8 +258,7 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     sum_gain, sum_gain2, sum_spread, sum_spread2 = map(math.fsum, (gains, gains2, spreads, spreads2))
     n_exec = sum(n_execs)
 
-    # the variances are taken at the scale of the moments, and each result divided by it,
-    # after the count, so that undoing a scale below 1 does not overflow
+    # the variances are taken at the moments' scale; each result is divided by its count, then by the scale
     mean_gain = sum_gain / n / scale
     mean_utility = mean_gain - params.alpha * cfg.bid
     se_utility = math.sqrt(_sample_var(sum_gain, sum_gain2, n) / n) / scale

@@ -315,6 +315,14 @@ class TestConfigAndOutput:
         assert plain[0] == 0
         assert run(capsys, "solve", "--alpha", "1", "--config", str(cfg)) == plain
 
+    @pytest.mark.parametrize("value", ["yes", "On", "1", "TRUE"])
+    def test_a_true_figure2_key_sweeps_figure2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"figure2 = {value}\n")
+        out = tmp_path / "out.csv"
+        assert run(capsys, "sweep", "--config", str(cfg), "--output", str(out)) == (0, "", "")
+        assert out.read_bytes() == (Path(__file__).parent / "golden" / "sweep-figure2.csv").read_bytes()
+
 
 class TestExitContract:
     # the initial bid bracket (hi - K) / (1 - alpha) overflows, so no float bid is the root
