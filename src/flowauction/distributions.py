@@ -159,7 +159,7 @@ class SupportInterval:
 
 
 class Distribution(ABC):
-    """A price law with compact support, :attr:`support`; a law implements the abstract rest.
+    """A price law with compact support, :attr:`support`; subclasses define the abstract methods.
 
     Evaluation methods are pure and thread-safe.  ``sample`` mutates only the
     generator passed by the caller; use one generator per thread.

@@ -150,7 +150,7 @@ class TestSimulateAuction:
 
     def test_prices_near_2_to_the_600_scale_every_estimate(self):
         # the squared gains and spreads, near 2**1200, would overflow to inf and
-        # so would the standard errors; the rates do not scale
+        # the standard errors would be NaN; the rates do not scale
         huge = 2.0**600
         params, big = AuctionParams(0.5, 0.5, p=0.1, q=0.2), AuctionParams(0.5 * huge, 0.5, p=0.1, q=0.2)
         bid = solve_equilibrium(U01, params).b_star
