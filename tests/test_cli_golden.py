@@ -39,6 +39,9 @@ CASES = [
     # 600,000 trials are three chunks, two full and one partial
     *both_formats("simulate-beta-chunks", "simulate", "--dist", "beta:2,5", "--alpha", "0.5",
                   "--n", "600000", "--seed", "9"),
+    # 1,000,000 trials are two pairs of chunks, the last one holding 213,568 trials
+    *both_formats("simulate-beta-pairs", "simulate", "--dist", "beta:2,5", "--alpha", "0.5",
+                  "--n", "1000000", "--seed", "8"),
     *both_formats("simulate-no-exec", "simulate", "--alpha", "0.5", "--bid", "1.2", "--n", "50000"),
     *both_formats("simulate-bid", "simulate", "--alpha", "0.5", "--bid", "0.1", "--n", "50000",
                   "--seed", "3"),
