@@ -167,7 +167,7 @@ class Distribution(ABC):
 
     @property
     def support(self) -> SupportInterval:
-        """The interval carrying the law's mass, read-only; every law sets ``_support`` in ``__init__``."""
+        """The interval carrying the law's mass, read-only; every law sets ``_support``."""
         return self._support
 
     @abstractmethod
@@ -257,6 +257,8 @@ class Beta(Distribution):
     ``a/(a+b) * (1 - I_t(a+1, b))``.  Sampling is numpy's ``Generator.beta``.
     """
 
+    _support = SupportInterval(0.0, 1.0)  # one interval for every law, stacked ones too
+
     def __init__(self, a: float, b: float):
         if not (a > 0.0 and b > 0.0) or not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidParamsError(f"Beta requires a > 0 and b > 0, got a={a}, b={b}")
@@ -269,7 +271,6 @@ class Beta(Distribution):
                 f"Beta shapes must have a product of at least 2.2e-308, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
-        self._support = SupportInterval(0.0, 1.0)
 
     @classmethod
     def _stacked(cls, a: np.ndarray, b: np.ndarray) -> "Beta":

@@ -107,6 +107,11 @@ def test_support_is_the_interval_the_law_was_built_on_and_read_only(law):
     assert (law.support.lo, law.support.hi) == want
 
 
+def test_a_stacked_beta_lives_on_the_unit_interval():
+    stacked = Beta._stacked(np.array([2.0, 0.5]), np.array([5.0, 0.5]))
+    assert stacked.support == Beta(2.0, 5.0).support == SupportInterval(0.0, 1.0)
+
+
 class TestUniform:
     def test_cdf_linear(self):
         d = Uniform(0.0, 1.0)
