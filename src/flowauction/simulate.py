@@ -8,13 +8,14 @@ positive; ties do not execute.
 
 Randomness comes from numpy's PCG64 generator.  Trials are drawn in
 fixed-size chunks whose generators are spawned deterministically from the
-seed.  Chunks are drawn two at a time, the second on a helper thread;
-everything else runs on the caller's thread, in chunk order.  The
-simulation and the calibrator read the same chunks, so at one seed they
-play the same trials.  A simulation combines the chunk aggregates with exact
-summation (``math.fsum``), so its result is bit-identical for a given
-``SimConfig``, and it holds at most two chunks' arrays at a time.  The
-calibrator keeps, of each chunk, only the trials that can execute.
+seed.  Chunks are drawn and reduced two at a time, the second on a helper
+thread, and their reductions are read on the caller's thread, in chunk
+order.  The simulation and the calibrator read the same chunks, so at one
+seed they play the same trials.  A simulation reduces each chunk to its
+moments and combines them with exact summation (``math.fsum``), so its
+result is bit-identical for a given ``SimConfig``, and it holds at most two
+chunks' arrays at a time.  The calibrator reduces each chunk to the trials
+that can execute.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import bisect
 import contextvars
 import functools
-import itertools
 import math
 import mmap
 import sys
@@ -90,11 +90,11 @@ class SimResult:
     n_exec: int
 
 
-def _draw(d: Distribution, params: AuctionParams, rng: np.random.Generator, m: int, masks):
-    """One chunk of ``m`` trials from ``rng``: its ``x = S - K``, the mask of
-    forced trials and the mask of voluntary ones.  ``masks`` is the constant
-    pair at ``p = q = 0``, where ``rng`` is already past the branch uniforms,
-    and None otherwise."""
+def _draw(reduce, d: Distribution, params: AuctionParams, rng: np.random.Generator, m: int, masks):
+    """``reduce(x, forced, voluntary)`` of one chunk of ``m`` trials from ``rng``:
+    its ``x = S - K``, the mask of forced trials and the mask of voluntary ones.
+    ``masks`` is the constant pair at ``p = q = 0``, where ``rng`` is already
+    past the branch uniforms, and None otherwise."""
     if masks is None:
         u = rng.random(m)
         forced, voluntary = u < params.p, u >= params.p + params.q
@@ -103,7 +103,7 @@ def _draw(d: Distribution, params: AuctionParams, rng: np.random.Generator, m: i
         forced, voluntary = (mask[:m] for mask in masks)
     x = d.sample(rng, size=m)
     x -= params.strike
-    return x, forced, voluntary
+    return reduce(x, forced, voluntary)
 
 
 def _at_once(first, second):
@@ -133,26 +133,27 @@ def _at_once(first, second):
     return [drawn, result[0]]
 
 
-def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
-    """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own generator.
+def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
+    """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own
+    generator, and yield each chunk's ``reduce(x, forced, voluntary)``, in chunk order.
 
     Chunk ``k`` draws from child ``k`` of ``SeedSequence(seed)``.  A chunk of
     ``m`` trials draws ``m`` branch uniforms, then ``m`` prices S, and is
-    yielded as its ``x = S - K``, the mask of trials whose execution is
-    forced and the mask of those where the winner decides.  The chunk seeds
-    and sizes define the draws, so a seed gives every caller the same trials.
-    At ``p = q = 0`` the uniforms decide nothing: the generator is advanced
-    past them instead (``Generator.random`` takes one 64-bit PCG64 output per
-    float), so the prices are the same, and every chunk yields views of one
-    read-only pair of constant masks.
+    reduced from its ``x = S - K``, the mask of trials whose execution is
+    forced and the mask of those where the winner decides; ``reduce`` may
+    overwrite ``x``.  The chunk seeds and sizes define the draws, so a seed
+    gives every caller the same trials.  At ``p = q = 0`` the uniforms decide
+    nothing: the generator is advanced past them instead (``Generator.random``
+    takes one 64-bit PCG64 output per float), so the prices are the same, and
+    every chunk is given views of one read-only pair of constant masks.
 
-    Chunks are drawn in pairs, in order: this thread draws the first chunk
-    of a pair while a helper thread draws the second (numpy lets go of the
-    interpreter lock while it draws).  Only the draws run on the helper; the
-    seeds are spawned, the generators built and advanced, and the chunks
-    yielded here, in chunk order.  The helper is joined before a pair is
-    yielded, so at most two chunks are held at once and no thread outlives
-    a pair; a run of one chunk starts no thread.
+    Chunks are drawn in pairs, in order: this thread draws and reduces the
+    first chunk of a pair while a helper thread draws and reduces the second,
+    in a copy of this thread's context (numpy lets go of the interpreter lock
+    while it draws).  The seeds are spawned and the generators built and
+    advanced here.  The helper is joined before a pair's reductions are
+    yielded, so at most two chunks are held at once and no thread outlives a
+    pair; a run of one chunk starts no thread.
     """
     root = np.random.SeedSequence(seed)
     sizes = [min(_CHUNK, int(n) - lo) for lo in range(0, n, _CHUNK)]  # advance() refuses numpy integers
@@ -167,31 +168,8 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int):
             rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
             if masks is not None:
                 rng.bit_generator.advance(m)
-            draws.append(functools.partial(_draw, d, params, rng, m, masks))
-        chunks = _at_once(*draws) if len(draws) == 2 else [draws[0]()]
-        chunks.reverse()
-        while chunks:
-            yield chunks.pop()  # only the caller holds a chunk it was given
-
-
-def _settle(paid: float, x: np.ndarray, forced: np.ndarray, voluntary: np.ndarray):
-    """Each trial's execution indicator and gain ``x - paid`` (0 where it does not
-    execute), ``paid`` being the contingent payment ``(1-alpha)*bid``."""
-    gain = x - paid
-    executed = gain > 0.0
-    executed &= voluntary
-    executed |= forced
-    # masked copies mispredict on a random mask; a product by the mask does
-    # not.  It leaves -0.0 where a gain was negative, which += 0.0 makes 0.0,
-    # and NaN where a gain was infinite or NaN, which is set to 0 where the
-    # trial does not execute: an executed inf or NaN keeps its value
-    with np.errstate(invalid="ignore"):
-        gain *= executed
-    gain += 0.0
-    nan = np.isnan(gain)
-    if nan.any():
-        np.copyto(gain, 0.0, where=nan & ~executed)
-    return executed, gain
+            draws.append(functools.partial(_draw, reduce, d, params, rng, m, masks))
+        yield from _at_once(*draws) if len(draws) == 2 else [draws[0]()]
 
 
 def _scale(d: Distribution, params: AuctionParams, bid: float) -> float:
@@ -209,22 +187,32 @@ def _scale(d: Distribution, params: AuctionParams, bid: float) -> float:
 def _moments(params: AuctionParams, bid: float, scale: float, x: np.ndarray, forced: np.ndarray,
              voluntary: np.ndarray):
     """One chunk's sums of gain and squared gain, executed count, and sums of spread and
-    squared spread, each gain and spread multiplied by ``scale`` (see :func:`_scale`)."""
+    squared spread, each gain and spread multiplied by ``scale`` (see :func:`_scale`).
+
+    A trial executes when it is forced, or voluntary with ``x`` above the contingent
+    payment ``paid = (1-alpha)*bid``; it gains ``x - paid`` then and 0 otherwise.
+    ``x`` is overwritten with the gains."""
     if scale != 1.0:
         x *= scale
-    executed, gain = _settle((1.0 - params.alpha) * bid * scale, x, forced, voluntary)
-    sum_gain = float(gain.sum())
-    sum_gain2 = float(np.multiply(gain, gain, out=gain).sum())
-    del gain  # spent; np.compress's index temporary takes its memory
-    spread = np.compress(executed, x)  # x[executed], without a masked loop
-    # x is spent once the spread is taken; its head holds the squares
-    return (
-        sum_gain,
-        sum_gain2,
-        spread.size,
-        float(spread.sum()),
-        float(np.multiply(spread, spread, out=x[:spread.size]).sum()),
-    )
+    paid = (1.0 - params.alpha) * bid * scale
+    executed = x > paid
+    executed &= voluntary
+    executed |= forced
+    spread = x[executed]
+    sum_spread = float(spread.sum())
+    sum_spread2 = float(np.multiply(spread, spread, out=spread).sum())
+    x -= paid
+    # masked copies mispredict on a random mask; a product by the mask does
+    # not.  It leaves -0.0 where a gain was negative, which += 0.0 makes 0.0,
+    # and NaN where a gain was infinite or NaN, which is set to 0 where the
+    # trial does not execute: an executed inf or NaN keeps its value
+    with np.errstate(invalid="ignore"):
+        x *= executed
+    x += 0.0
+    nan = np.isnan(x)
+    if nan.any():
+        np.copyto(x, 0.0, where=nan & ~executed)
+    return float(x.sum()), float(np.multiply(x, x, out=x).sum()), spread.size, sum_spread, sum_spread2
 
 
 def _sample_var(sum_x: float, sum_x2: float, n: int) -> float:
@@ -252,8 +240,7 @@ def simulate_auction(d: Distribution, params: AuctionParams, cfg: SimConfig) -> 
     check_execution_right(d, params)
     n = cfg.n_trials
     scale = _scale(d, params, cfg.bid)
-    moments = itertools.starmap(functools.partial(_moments, params, cfg.bid, scale),
-                                _chunks(d, params, cfg.seed, n))
+    moments = _chunks(d, params, cfg.seed, n, functools.partial(_moments, params, cfg.bid, scale))
     gains, gains2, n_execs, spreads, spreads2 = zip(*moments)
     sum_gain, sum_gain2, sum_spread, sum_spread2 = map(math.fsum, (gains, gains2, spreads, spreads2))
     n_exec = sum(n_execs)
@@ -312,7 +299,7 @@ def _zero_profit_bid(params: AuctionParams, n: int, x_forced: np.ndarray, xv: np
     breakpoint where it is nonpositive, and the root on the segment below it
     is that line's zero.  At ``alpha = 1``, ``c`` is 0 at every bid and the
     utility is one line.  Ties ``x == c`` do not execute, as in
-    :func:`_settle`.  Raises :class:`ConvergenceError` when a sum of gains
+    :func:`_moments`.  Raises :class:`ConvergenceError` when a sum of gains
     overflows.
     """
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
@@ -383,10 +370,8 @@ def calibrate_zero_profit_bid(
     # go back to the system with it.
     buf = np.frombuffer(mmap.mmap(-1, 8 * n_per_eval), np.float64)
     n_forced, top = 0, n_per_eval
-    # starmap lets go of each chunk before the next is drawn, where a loop variable would hold it
-    for forced, voluntary in itertools.starmap(_executable, _chunks(d, params, seed, n_per_eval)):
+    for forced, voluntary in _chunks(d, params, seed, n_per_eval, _executable):
         buf[n_forced:n_forced + forced.size] = forced
         buf[top - voluntary.size:top] = voluntary
         n_forced, top = n_forced + forced.size, top - voluntary.size
-        del forced, voluntary  # a piece is let go of before the next group is drawn
     return _zero_profit_bid(params, n_per_eval, buf[:n_forced], buf[top:])

@@ -27,7 +27,7 @@ from flowauction import (
     solve_equilibrium,
 )
 from flowauction import simulate
-from flowauction.simulate import _chunks, _executable, _moments, _settle, _zero_profit_bid
+from flowauction.simulate import _chunks, _executable, _moments, _zero_profit_bid
 
 U01 = Uniform(0.0, 1.0)
 
@@ -373,7 +373,12 @@ def kernel_chunks(case):
         params, bid, chunk = case
         return params, bid, [chunk]
     d, params, bid, n = case
-    return params, bid, list(_chunks(d, params, 3, n))
+    return params, bid, list(_chunks(d, params, 3, n, identity))
+
+
+def identity(*chunk):
+    """A chunk reduced to itself: its ``x`` and branch masks."""
+    return chunk
 
 
 def float_bits(values):
@@ -395,10 +400,6 @@ def test_the_chunk_kernel_matches_the_masked_copy(case):
     for x, forced, voluntary in chunks:
         # the kernel may not signal an invalid operation where the masked copy does not
         with np.errstate(over="ignore", invalid="raise"):
-            want_executed, want_gain = reference_settle(params, bid, x, forced, voluntary)
-            executed, gain = _settle((1.0 - params.alpha) * bid, x, forced, voluntary)
-            assert np.array_equal(executed, want_executed)
-            assert np.array_equal(float_bits(gain), float_bits(want_gain))
             want = reference_moments(params, bid, x.copy(), forced, voluntary)
             got = _moments(params, bid, 1.0, x.copy(), forced, voluntary)
         assert got[2] == want[2]
@@ -424,7 +425,7 @@ def test_chunks_skip_only_branch_uniforms_that_decide_nothing(monkeypatch, d, si
     params = AuctionParams(0.5, 0.5, p, q)
     for n in sizes:
         skipped.clear()
-        assert_same_chunks(list(_chunks(d, params, 11, n)), reference_chunks(d, params, 11, n))
+        assert_same_chunks(list(_chunks(d, params, 11, n, identity)), reference_chunks(d, params, 11, n))
         assert skipped == ([min(2**18, n - lo) for lo in range(0, n, 2**18)] if advances else [])
 
 
@@ -442,7 +443,7 @@ def test_calibration_holds_the_executable_trials_not_the_batch():
 
 
 def test_simulation_holds_at_most_two_chunks():
-    # one chunk's arrays at a time peaked at 5.0 MiB; two chunks drawn at once, 7.0 MiB
+    # one chunk's arrays at a time peaked at 5.0 MiB; two chunks drawn and reduced at once, 7.1-8.0 MiB
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
@@ -458,7 +459,8 @@ def test_a_quadrature_law_is_sampled_on_two_threads_as_on_one(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", 64)
     law, params = QuadratureDistribution(Beta(2.0, 5.0).pdf, Beta(2.0, 5.0).support), AuctionParams(0.2, 0.5)
     # four chunks: two pairs, each drawn on two threads
-    assert_same_chunks(list(_chunks(law, params, 13, 200)), reference_chunks(law, params, 13, 200, chunk=64))
+    assert_same_chunks(list(_chunks(law, params, 13, 200, identity)),
+                       reference_chunks(law, params, 13, 200, chunk=64))
 
 
 class SecondChunk(Uniform):
@@ -482,24 +484,53 @@ def fail(size):
     raise DrawFailed(size)
 
 
-def test_a_failed_draw_is_raised_and_no_thread_outlives_it():
-    law, params, n = SecondChunk(fail), AuctionParams(0.5, 0.5), 3 * 2**18
+class ReductionFailed(Exception):
+    pass
+
+
+def refuse_twos(reduce):
+    """``reduce``, except that it fails on a chunk whose prices are all 2 at a strike of 0.5."""
+    def reduced(*args):
+        if (args[-3] == 1.5).all():  # the chunk's x
+            raise ReductionFailed
+        return reduce(*args)
+    return reduced
+
+
+def test_a_failed_draw_or_reduction_is_raised_and_no_thread_outlives_it(monkeypatch):
+    params, n = AuctionParams(0.5, 0.5), 3 * 2**18
+    runs = (lambda law: simulate_auction(law, params, SimConfig(n_trials=n, seed=2, bid=0.1)),
+            lambda law: calibrate_zero_profit_bid(law, params, n, 2))
     before = threading.active_count()
-    for run in (lambda: simulate_auction(law, params, SimConfig(n_trials=n, seed=2, bid=0.1)),
-                lambda: calibrate_zero_profit_bid(law, params, n, 2)):
+    for run in runs:
         with pytest.raises(DrawFailed):
-            run()
+            run(SecondChunk(fail))
+        assert threading.active_count() == before
+    # the second chunk, which a helper thread draws and reduces, has prices of 2 only
+    for name in ("_moments", "_executable"):
+        monkeypatch.setattr(simulate, name, refuse_twos(getattr(simulate, name)))
+    for run in runs:
+        with pytest.raises(ReductionFailed):
+            run(SecondChunk(lambda size: np.full(size, 2.0)))
         assert threading.active_count() == before
 
 
-def test_every_chunk_is_drawn_under_the_callers_errstate():
+def test_every_chunk_is_drawn_and_reduced_under_the_callers_errstate():
     # x - K overflows in the second chunk only, which a helper thread draws
     law, params, n = SecondChunk(lambda size: np.full(size, -1e308)), AuctionParams(1e308, 0.5), 2**18 + 1
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        list(_chunks(law, params, 3, n))
+        list(_chunks(law, params, 3, n, identity))
     with np.errstate(over="ignore"):  # a warning would fail the test
-        (x, _, _), (y, _, _) = _chunks(law, params, 3, n)
+        (x, _, _), (y, _, _) = _chunks(law, params, 3, n, identity)
     assert np.isfinite(x).all() and y.tolist() == [-math.inf]
+    # the second chunk's x is drawn finite, and only its squared gain, which the helper reduces, overflows
+    law, params = SecondChunk(lambda size: np.full(size, 1e308)), AuctionParams(0.5, 0.5)
+    cfg = SimConfig(n_trials=n, seed=3, bid=0.1)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        simulate_auction(law, params, cfg)
+    with np.errstate(over="ignore"):
+        result = simulate_auction(law, params, cfg)
+    assert math.isfinite(result.mean_utility) and math.isnan(result.se_utility)  # the squares' sum is inf
 
 
 def test_a_cli_simulation_whose_draws_overflow_writes_no_warning():
@@ -538,7 +569,7 @@ def trial_batches(draw):
     """A law, auction parameters, a small seeded batch of trials and bids to read it at."""
     d, params = draw(laws_and_params())
     lo, hi, alpha = d.support.lo, d.support.hi, params.alpha
-    (x, forced, voluntary), = _chunks(d, params, draw(st.integers(0, 2**64 - 1)), draw(st.integers(2, 64)))
+    (x, forced, voluntary), = _chunks(d, params, draw(st.integers(0, 2**64 - 1)), draw(st.integers(2, 64)), identity)
     # the batch repeated, so that trials tie with each other
     repeats = draw(st.integers(1, 3))
     x, forced, voluntary = (np.tile(v, repeats) for v in (x, forced, voluntary))
@@ -564,8 +595,8 @@ def test_the_exact_root_is_a_crossing_of_the_direct_mean(batch):
     c = 1.0 - params.alpha
 
     def utility_and_bound(bid):
-        """``_settle``'s mean utility at ``bid``, and the rounding allowed in it."""
-        executed, gain = _settle(c * bid, x, forced, voluntary)
+        """The masked copy's mean utility at ``bid``, and the rounding allowed in it."""
+        executed, gain = reference_settle(params, bid, x, forced, voluntary)
         # the root sums the same executed gains x - c*bid, in other orders and groupings
         scale = (np.abs(x[executed]).sum() + executed.sum() * c * abs(bid)) / len(x) + params.alpha * abs(bid)
         return float(gain.mean()) - params.alpha * bid, 16 * sys.float_info.epsilon * scale
