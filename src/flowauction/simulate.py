@@ -125,12 +125,12 @@ def _at_once(first, second):
     helper = threading.Thread(target=run)
     helper.start()
     try:
-        drawn = first()
+        ours = first()
     finally:
         helper.join()
     if error:
         raise error[0]
-    return [drawn, result[0]]
+    return [ours, result[0]]
 
 
 def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
