@@ -26,7 +26,6 @@ import functools
 import math
 import mmap
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,33 +105,6 @@ def _draw(reduce, d: Distribution, params: AuctionParams, rng: np.random.Generat
     return reduce(x, forced, voluntary)
 
 
-def _at_once(first, second):
-    """``first()`` on this thread while a helper thread calls ``second()``; both results.
-
-    The helper runs in a copy of this thread's context, so numpy's errstate
-    holds there as it does here.  It is joined before this returns or
-    raises, and an exception it raised is raised here.
-    """
-    context = contextvars.copy_context()
-    result, error = [], []
-
-    def run():
-        try:
-            result.append(context.run(second))
-        except BaseException as exc:  # raised again on the caller's thread
-            error.append(exc)
-
-    helper = threading.Thread(target=run)
-    helper.start()
-    try:
-        ours = first()
-    finally:
-        helper.join()
-    if error:
-        raise error[0]
-    return [ours, result[0]]
-
-
 def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
     """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own
     generator, and yield each chunk's ``reduce(x, forced, voluntary)``, in chunk order.
@@ -149,11 +121,16 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
 
     Chunks are drawn in pairs, in order: this thread draws and reduces the
     first chunk of a pair while a helper thread draws and reduces the second,
-    in a copy of this thread's context (numpy lets go of the interpreter lock
-    while it draws).  The seeds are spawned and the generators built and
-    advanced here.  The helper is joined before a pair's reductions are
-    yielded, so at most two chunks are held at once and no thread outlives a
-    pair; a run of one chunk starts no thread.
+    in a copy of this thread's context as the pair begins (numpy lets go of
+    the interpreter lock while it draws).  The seeds are spawned and the
+    generators built and advanced here.  A pair is begun only once the last
+    one's reductions are yielded, so at most two chunks are held at once.
+    One helper serves the whole run and ends with its last chunk, and it is
+    joined before the run returns, raises or is closed; an exception it
+    raised is raised here.  A helper started for every pair could start
+    before the last one had handed its malloc arena back and take a new one,
+    which now and then left several MB more of the process resident.  A run
+    of one chunk starts no thread.
     """
     root = np.random.SeedSequence(seed)
     sizes = [min(_CHUNK, int(n) - lo) for lo in range(0, n, _CHUNK)]  # advance() refuses numpy integers
@@ -162,14 +139,26 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
         masks = np.zeros(sizes[0], bool), np.ones(sizes[0], bool)
         for mask in masks:
             mask.flags.writeable = False  # every chunk is given views of them
-    for g in range(0, len(sizes), 2):
-        draws = []
-        for m in sizes[g:g + 2]:
-            rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
-            if masks is not None:
-                rng.bit_generator.advance(m)
-            draws.append(functools.partial(_draw, reduce, d, params, rng, m, masks))
-        yield from _at_once(*draws) if len(draws) == 2 else [draws[0]()]
+
+    def chunk(m: int):
+        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
+        if masks is not None:
+            rng.bit_generator.advance(m)
+        return functools.partial(_draw, reduce, d, params, rng, m, masks)
+
+    if len(sizes) == 1:
+        yield chunk(sizes[0])()
+        return
+    # imported here, so that only runs of two chunks or more pay for its import, logging's included
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as helper:
+        for g in range(0, len(sizes), 2):
+            ours, *second = [chunk(m) for m in sizes[g:g + 2]]
+            theirs = [helper.submit(contextvars.copy_context().run, call) for call in second]
+            if g + 2 >= len(sizes):
+                helper.shutdown(wait=False)  # the last pair: the helper ends while this thread draws
+            yield ours()
+            yield from (future.result() for future in theirs)
 
 
 def _scale(d: Distribution, params: AuctionParams, bid: float) -> float:
@@ -374,4 +363,7 @@ def calibrate_zero_profit_bid(
         buf[n_forced:n_forced + forced.size] = forced
         buf[top - voluntary.size:top] = voluntary
         n_forced, top = n_forced + forced.size, top - voluntary.size
+        # let go of the pieces now, not while the helper draws on: a piece it
+        # made goes back to its malloc arena while the helper is idle
+        del forced, voluntary
     return _zero_profit_bid(params, n_per_eval, buf[:n_forced], buf[top:])

@@ -463,6 +463,17 @@ def test_a_quadrature_law_is_sampled_on_two_threads_as_on_one(monkeypatch):
                        reference_chunks(law, params, 13, 200, chunk=64))
 
 
+def test_one_helper_thread_draws_every_second_chunk_of_a_run(monkeypatch):
+    # a helper started for every pair could take a new malloc arena, and with it MBs of resident memory
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    before = threading.active_count()
+    threads = list(_chunks(U01, AuctionParams(0.5, 0.5), 5, 5 * 64, lambda *chunk: threading.current_thread()))
+    caller, helper = threads[:2]
+    assert caller is threading.current_thread() and helper is not caller
+    assert all(t is caller for t in threads[0::2]) and all(t is helper for t in threads[1::2])
+    assert threading.active_count() == before
+
+
 class SecondChunk(Uniform):
     """U(0, 1), except that ``second(size)`` gives the draws of a run's second chunk."""
 
