@@ -89,22 +89,6 @@ class SimResult:
     n_exec: int
 
 
-def _draw(reduce, d: Distribution, params: AuctionParams, rng: np.random.Generator, m: int, masks):
-    """``reduce(x, forced, voluntary)`` of one chunk of ``m`` trials from ``rng``:
-    its ``x = S - K``, the mask of forced trials and the mask of voluntary ones.
-    ``masks`` is the constant pair at ``p = q = 0``, where ``rng`` is already
-    past the branch uniforms, and None otherwise."""
-    if masks is None:
-        u = rng.random(m)
-        forced, voluntary = u < params.p, u >= params.p + params.q
-        del u
-    else:
-        forced, voluntary = (mask[:m] for mask in masks)
-    x = d.sample(rng, size=m)
-    x -= params.strike
-    return reduce(x, forced, voluntary)
-
-
 def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
     """Draw ``n`` seeded trials in chunks of at most ``_CHUNK``, each from its own
     generator, and yield each chunk's ``reduce(x, forced, voluntary)``, in chunk order.
@@ -123,7 +107,8 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
     first chunk of a pair while a helper thread draws and reduces the second,
     in a copy of this thread's context as the pair begins (numpy lets go of
     the interpreter lock while it draws).  The seeds are spawned and the
-    generators built and advanced here.  A pair is begun only once the last
+    generators built and advanced here, in chunk order, each into a call that
+    draws and reduces its chunk.  A pair is begun only once the last
     one's reductions are yielded, so at most two chunks are held at once.
     One helper serves the whole run and ends with its last chunk, and it is
     joined before the run returns, raises or is closed; an exception it
@@ -144,7 +129,18 @@ def _chunks(d: Distribution, params: AuctionParams, seed: int, n: int, reduce):
         rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))  # spawn counts on: chunk k gets child k
         if masks is not None:
             rng.bit_generator.advance(m)
-        return functools.partial(_draw, reduce, d, params, rng, m, masks)
+
+        def draw():
+            if masks is None:
+                u = rng.random(m)
+                forced, voluntary = u < params.p, u >= params.p + params.q
+                del u
+            else:
+                forced, voluntary = (mask[:m] for mask in masks)
+            x = d.sample(rng, size=m)
+            x -= params.strike
+            return reduce(x, forced, voluntary)
+        return draw
 
     if len(sizes) == 1:
         yield chunk(sizes[0])()

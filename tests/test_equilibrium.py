@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowauction import (
     AuctionParams,
@@ -417,6 +417,32 @@ def test_a_threshold_rounded_below_the_top_is_searched_from_twice_the_bracket():
     sol = solve_equilibrium(d, params)
     assert sol.b_star.hex() == "0x1.1548dbb5ac422p+6" and sol.status == SolutionStatus.INTERIOR_ROOT
     assert expected_utility(d, params, math.nextafter(upper, math.inf)) <= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    uniform=st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 10.0)) | st.none(),
+    shapes=st.tuples(st.floats(0.2, 50.0), st.floats(0.2, 50.0)),
+    where=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2).map(sorted),
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    p=st.floats(0.0, 1.0),
+    share=st.floats(0.0, 1.0),
+)
+def test_the_utility_slope_is_the_closed_form(uniform, shapes, where, alpha, p, share):
+    # U'(b) = -(D (1 - alpha) (1 - F(t)) + alpha + p (1 - alpha)), D = 1 - p - q,
+    # against a central difference that moves t by 1e-6 of the support width
+    d = Uniform(uniform[0], sum(uniform)) if uniform else Beta(*shapes)
+    lo, width = d.support.lo, d.support.hi - d.support.lo
+    strike, t = (lo + u * width for u in where)  # the strike and threshold, away from the support ends
+    q = share * (1.0 - p)
+    params, b = AuctionParams(strike, alpha, p, q), (t - strike) / (1.0 - alpha)
+    tail = 1.0 - d.cdf(strike + (1.0 - alpha) * b)
+    slope = -((1.0 - p - q) * (1.0 - alpha) * tail + alpha + p * (1.0 - alpha))
+    # near a zero slope (alpha and p near 0, and D near 0 or F(t) near 1) the difference is mostly rounding
+    assume(slope <= -1e-3)
+    h = 1e-6 * width / (1.0 - alpha)
+    central = (expected_utility(d, params, b + h) - expected_utility(d, params, b - h)) / (2.0 * h)
+    assert abs(central - slope) <= 1e-6 * abs(slope)
 
 
 class Limitless(Uniform):

@@ -474,6 +474,20 @@ def test_one_helper_thread_draws_every_second_chunk_of_a_run(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_every_reduction_at_p_q_zero_gets_read_only_masks(monkeypatch):
+    # every chunk is given views of one pair of constant masks, which no reduction may write to
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+
+    def reduce(x, forced, voluntary):
+        seen = forced.flags.writeable, voluntary.flags.writeable, forced.any(), voluntary.all()
+        return threading.current_thread(), *seen
+
+    reductions = list(_chunks(U01, AuctionParams(0.5, 0.5), 5, 4 * 64 + 1, reduce))
+    assert {thread for thread, *_ in reductions[0::2]} == {threading.current_thread()}
+    assert threading.current_thread() not in {thread for thread, *_ in reductions[1::2]}
+    assert [flags for _, *flags in reductions] == [[False, False, False, True]] * 5
+
+
 class SecondChunk(Uniform):
     """U(0, 1), except that ``second(size)`` gives the draws of a run's second chunk."""
 
