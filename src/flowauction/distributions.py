@@ -130,16 +130,20 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _elementwise(x, fn: Callable[[np.ndarray], np.ndarray]):
-    """``fn``, which maps a 1-d float64 array elementwise, applied to ``x`` of any
-    shape; a float in gives a float out."""
-    x = np.asarray(x, dtype=float)
-    y = fn(x.reshape(-1))
-    return float(y[0]) if x.ndim == 0 else y.reshape(x.shape)
+    """``fn``, which maps a float64 array elementwise at its own shape, applied to
+    ``x``; a 0-d result, as a float or 0-d ``x`` gives, comes out as a float."""
+    y = fn(np.asarray(x, dtype=float))
+    return float(y) if y.ndim == 0 else y
+
+
+def _flat(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn``, which maps a 1-d array elementwise, applied to an array of any shape."""
+    return lambda x: fn(x.reshape(-1)).reshape(x.shape)
 
 
 def _each(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """``fn`` applied to each element of a 1-d array, on Python floats; NaN gives NaN."""
-    return lambda x: np.array([fn(v) if v == v else v for v in x.tolist()], dtype=float)
+    """``fn`` applied to each element of an array, on Python floats; NaN gives NaN."""
+    return _flat(lambda x: np.array([fn(v) if v == v else v for v in x.tolist()], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -304,14 +308,9 @@ class Beta(Distribution):
     def pdf(self, x: float) -> float:
         if x < 0.0 or x > 1.0:
             return 0.0
-        if x == 0.0:
-            if self.a < 1.0:
-                return math.inf
-            return math.exp(-self._ln_beta) if self.a == 1.0 else 0.0
-        if x == 1.0:
-            if self.b < 1.0:
-                return math.inf
-            return math.exp(-self._ln_beta) if self.b == 1.0 else 0.0
+        if x == 0.0 or x == 1.0:  # the density there is x**(a - 1) or (1 - x)**(b - 1) over B(a, b)
+            shape = self.a if x == 0.0 else self.b
+            return math.inf if shape < 1.0 else math.exp(-self._ln_beta) if shape == 1.0 else 0.0
         return math.exp(
             (self.a - 1.0) * math.log(x) + (self.b - 1.0) * math.log1p(-x) - self._ln_beta
         )
@@ -438,11 +437,10 @@ class QuadratureDistribution(Distribution):
         return _elementwise(t, _each(partial_expectation))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        u = np.asarray(rng.random(size))
-        flat, lo, hi = u.reshape(-1), self._support.lo, self._support.hi
+        lo, hi = self._support.lo, self._support.hi
         # u < 1 = cdf(hi), so every search brackets its crossing at once
-        x = find_crossings(lambda x, u: u - self.cdf(x), [lo] * u.size, [hi] * u.size, flat)
-        return float(x[0]) if size is None else x.reshape(u.shape)
+        return _elementwise(rng.random(size), _flat(lambda u: find_crossings(
+            lambda x, u: u - self.cdf(x), np.full(u.size, lo), np.full(u.size, hi), u)))
 
 
 # ---------------------------------------------------------------------------
