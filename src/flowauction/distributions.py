@@ -311,9 +311,12 @@ class Beta(Distribution):
         if x == 0.0 or x == 1.0:  # the density there is x**(a - 1) or (1 - x)**(b - 1) over B(a, b)
             shape = self.a if x == 0.0 else self.b
             return math.inf if shape < 1.0 else math.exp(-self._ln_beta) if shape == 1.0 else 0.0
-        return math.exp(
-            (self.a - 1.0) * math.log(x) + (self.b - 1.0) * math.log1p(-x) - self._ln_beta
-        )
+        try:
+            return math.exp(
+                (self.a - 1.0) * math.log(x) + (self.b - 1.0) * math.log1p(-x) - self._ln_beta
+            )
+        except OverflowError:  # next to an end whose shape is below 1: the density passes the float range
+            return math.inf
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)

@@ -189,6 +189,12 @@ class TestBeta:
         assert math.isinf(Beta(2.0, 0.5).pdf(1.0))
         assert Beta(2.0, 5.0).pdf(-0.2) == 0.0
 
+    def test_pdf_above_the_float_range_next_to_an_end_is_inf(self):
+        # exp of the log-density overflowed and raised OverflowError
+        assert Beta(0.01, 1.0).pdf(5e-324) == math.inf
+        assert Beta(0.001, 7.0).pdf(5e-324) == math.inf
+        assert Beta(0.05, 3.0).pdf(5e-324) == pytest.approx(7.4e305, rel=1e-2)
+
     def test_invalid_shapes(self):
         with pytest.raises(InvalidParamsError):
             Beta(0.0, 1.0)
