@@ -306,9 +306,9 @@ def solve_columns(
     if len(each) != len(params_seq):
         raise InvalidParamsError(
             f"expected one law per element: {len(each)} laws for {len(params_seq)} elements")
+    check_tol(tol)
     if not params_seq:
         return {field.name: np.empty(0) for field in fields(EquilibriumSolution)[:-1]}, []
-    check_tol(tol)
     batch = _Batch.of(params_seq, each)
     lo, hi = batch.lo, batch.hi
     upper = _bid_bracket(hi, batch.strike, batch.alpha)

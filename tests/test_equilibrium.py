@@ -166,6 +166,12 @@ class TestSolveEquilibrium:
         with pytest.raises(InvalidParamsError):
             solve_equilibrium(U01, AuctionParams(strike=0.5, alpha=0.5), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected_on_an_empty_grid(self, tol):
+        # the empty grid returned [] before tol was checked
+        with pytest.raises(InvalidParamsError, match="tol must be positive"):
+            solve_equilibria(U01, [], tol=tol)
+
     def test_unreachable_tol_raises(self):
         # the search ends at adjacent floats, where the residual here is 4.2e-17
         with pytest.raises(ConvergenceError, match=r"for Beta\(2\.0, 5\.0\) at alpha 0\.1 exceeds tol"):
