@@ -227,6 +227,22 @@ def test_nan_gives_nan(law):
         assert np.isnan(values[1]) and values[[0, 2]].tolist() == [method(0.25), method(0.75)]
 
 
+@pytest.mark.parametrize("law", [Uniform(-1.0, 3.0), Beta(2.0, 5.0), Beta(0.5, 0.5),
+                                 QuadratureDistribution(Beta(2.0, 5.0).pdf, SupportInterval(0.0, 1.0))])
+def test_a_float_gives_a_float_and_an_array_an_array_of_its_shape(law):
+    for method in (law.cdf, law.partial_expectation):
+        for x in (0.25, np.float64(0.25), np.array(0.25)):
+            assert type(method(x)) is float and method(x) == method(0.25)
+        assert math.isnan(method(np.array(math.nan)))
+        for x in ([0.1, 0.6], np.empty(0), np.array([-2.0, 0.3, math.nan]), np.array([[0.0, 0.5], [1.0, 4.0]])):
+            flat = np.asarray(x, dtype=float).reshape(-1)
+            values = method(x)
+            assert type(values) is np.ndarray and values.dtype == np.float64 and values.shape == np.shape(x)
+            assert values.reshape(-1).tobytes() == method(flat).tobytes()
+            for u, v in zip(flat.tolist(), values.reshape(-1).tolist()):
+                assert math.isnan(v) if math.isnan(u) else v == method(u)
+
+
 # ---------------------------------------------------------------------------
 # distribution invariants (property-based)
 # ---------------------------------------------------------------------------
