@@ -451,6 +451,34 @@ def test_the_utility_slope_is_the_closed_form(uniform, shapes, where, alpha, p, 
     assert abs(central - slope) <= 1e-6 * abs(slope)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-10.0, 10.0), width=st.floats(0.1, 10.0), at=st.floats(0.0, 0.99),
+    log_s=st.floats(-8.0, 8.0), c=st.floats(-1e3, 1e3),
+    alpha=st.floats(0.01, 1.0), p=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
+)
+def test_mapping_prices_by_an_affine_map_scales_the_bid_and_keeps_p_exec(lo, width, at, log_s, c, alpha, p, share):
+    # S -> c + s S maps the equilibrium bid to s b* and keeps p_exec.  Each solve's
+    # residual is at most tol times its price scale and |U'(b)| >= alpha + p (1 - alpha),
+    # so each bid is within their ratio of its exact root; 4 eps covers the residual's
+    # own rounding.  p_exec = p + D (1 - F(t)) moves by D (1 - alpha) / width per unit
+    # of b / s, and by at most 4 D / width per unit that rounding moves the mapped
+    # strike or an end, eps (|c| + m) / s in the first law's units (m: the mapped law's
+    # largest price).  At alpha = 1, t is the strike and only that rounding is left
+    eps, s, q, tol = np.finfo(float).eps, math.exp(log_s), share * (1.0 - p), 1e-12
+    strike = lo + at * width
+    laws = [Uniform(lo, lo + width), Uniform(c + s * lo, c + s * (lo + width))]
+    grid = [AuctionParams(strike, alpha, p, q), AuctionParams(c + s * strike, alpha, p, q)]
+    one, two = solve_equilibria(laws, grid, tol)
+    assume(one.status == two.status == SolutionStatus.INTERIOR_ROOT)
+    prices = [max(abs(d.support.lo), abs(d.support.hi), abs(params.strike)) for d, params in zip(laws, grid)]
+    scales = [m * max(1.0, m / (d.support.hi - d.support.lo)) for m, d in zip(prices, laws)]
+    bound = (tol + 4.0 * eps) * (scales[0] + scales[1] / s) / (alpha + p * (1.0 - alpha))
+    mapped = eps * (abs(c) + prices[1]) / s
+    assert abs(two.b_star / s - one.b_star) <= bound
+    assert abs(two.p_exec - one.p_exec) <= (1.0 - p - q) * ((1.0 - alpha) * bound + 4.0 * mapped) / width + 4.0 * eps
+
+
 class Limitless(Uniform):
     """A uniform law whose upper partial expectation is 1e300 at every threshold,
     so the winner's utility is positive at every bid."""
