@@ -131,7 +131,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def _elementwise(x, fn: Callable[[np.ndarray], np.ndarray]):
     """``fn``, which maps a float64 array elementwise at its own shape, applied to
-    ``x``; a 0-d result, as a float or 0-d ``x`` gives, comes out as a float."""
+    ``x``; a 0-d result, from a float or a 0-d ``x``, is returned as a float."""
     y = fn(np.asarray(x, dtype=float))
     return float(y) if y.ndim == 0 else y
 
@@ -308,7 +308,7 @@ class Beta(Distribution):
     def pdf(self, x: float) -> float:
         if x < 0.0 or x > 1.0:
             return 0.0
-        if x == 0.0 or x == 1.0:  # the density there is x**(a - 1) or (1 - x)**(b - 1) over B(a, b)
+        if x == 0.0 or x == 1.0:  # x**(a - 1) or (1 - x)**(b - 1) is inf, 1 or 0 there
             shape = self.a if x == 0.0 else self.b
             return math.inf if shape < 1.0 else math.exp(-self._ln_beta) if shape == 1.0 else 0.0
         try:
