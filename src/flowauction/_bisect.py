@@ -1,4 +1,4 @@
-"""Bracketed root finding shared by the solver and quadrature-law sampling:
+"""Bracketed root finding for quadrature-law sampling, which inverts the CDF:
 Chandrupatla's (1997) inverse-quadratic / bisection hybrid with a bisection
 safeguard in the spirit of ITP (Oliveira and Takahashi 2020).
 

@@ -21,8 +21,8 @@ re-serializable byte-for-byte).  Every option is declared once in
 ``OPTIONS``, which yields the subcommand flags, the keys accepted in a
 ``--config`` file of ``key = value`` lines, and their merge: a flag wins over
 the config file, which wins over the default.  Exit codes: 0 success,
-2 usage or configuration error, 3 numeric failure (no root bracket, a
-residual above ``--tol`` times the price scale, or a NaN or infinite value in the result, which
+2 usage or configuration error, 3 numeric failure (a residual above
+``--tol`` times the price scale, or a NaN or infinite value in the result, which
 is never printed).  Every failure is one line on stderr.
 """
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, check_tol
 from .equilibrium import AuctionParams, check_alpha, defined_spreads, solution_at, solve_columns, solve_equilibrium
-from .errors import BracketError, ConvergenceError, InvalidParamsError
+from .errors import ConvergenceError, InvalidParamsError
 from .oracle import build_oracle_reports
 from .simulate import SimConfig, simulate_auction
 
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an input too large to hold, such as a huge --alpha-grid
         print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
-    except (BracketError, ConvergenceError, FloatingPointError) as exc:
+    except (ConvergenceError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -77,17 +77,23 @@ def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(offsets), tuple(weights)
 
 
-def _gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, list[float]]:
+def _gauss(f: Callable[[float], float], a: float, b: float,
+           support: SupportInterval) -> tuple[float, float, list[float]]:
     """The 16-point rule's ``∫ f`` and ``∫ x f`` over ``[a, b]``, and ``f`` at its nodes.
-    A node that rounds onto an end, where a density may vanish or be infinite, moves to
-    the nearest float inside; a span with none inside adds nothing where its ends make
-    the rule inf or NaN.  Rounding is monotone: the lowest node reaches ``a`` first."""
+    ``f`` is never called at an end of the ``support``, where a density may be infinite:
+    a node that rounds onto an end of the span moves to the nearest float inside it, and
+    where the span has none inside, a node on an end of the support moves to the span's
+    other end.  Rounding is monotone: the lowest node reaches ``a`` first."""
+    if not a < b:  # an empty span, as cdf reads at a panel edge
+        return 0.0, 0.0, []
     offsets, weights = _gauss_legendre()
     half = 0.5 * (b - a)
     xs = [a + half * offset for offset in offsets]
-    inside = math.nextafter(a, b) < b
-    if (xs[0] == a or xs[-1] == b) and inside:
-        xs = [math.nextafter(a, b) if x == a else math.nextafter(b, a) if x == b else x for x in xs]
+    if xs[0] == a or xs[-1] == b:
+        first, last = math.nextafter(a, b), math.nextafter(b, a)
+        if not first < b:  # no float inside: the nodes stay on the ends but the support's
+            first, last = b if a == support.lo else a, a if b == support.hi else b
+        xs = [min(max(x, first), last) for x in xs]
     mass = moment = 0.0
     fs = []
     for x, weight in zip(xs, weights):
@@ -95,9 +101,7 @@ def _gauss(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         y = weight * fs[-1]
         mass += y
         moment += x * y
-    if inside or math.isfinite(half * mass) and math.isfinite(half * moment):
-        return half * mass, half * moment, fs
-    return 0.0, 0.0, []
+    return half * mass, half * moment, fs
 
 
 _EPS = sys.float_info.epsilon
@@ -365,7 +369,7 @@ class QuadratureDistribution(Distribution):
             # the rounding floor counts the sums, and the nodes, each off by up
             # to eps |x|, times the density's variation over them
             mid = a + 0.5 * (b - a)
-            halves = left, right = _gauss(pdf, a, mid), _gauss(pdf, mid, b)
+            halves = left, right = _gauss(pdf, a, mid, support), _gauss(pdf, mid, b, support)
             mass, moment = left[0] + right[0], left[1] + right[1]
             gap = max(abs(mass - whole[0]), abs(moment - whole[1]) / scale)
             variation = sum(abs(q - p) for p, q in pairwise(left[2] + right[2]))
@@ -375,7 +379,7 @@ class QuadratureDistribution(Distribution):
             return -estimate if refine else 0.0, estimate, mass, a, mid, b, halves  # key 0: final
 
         heap, total, mass = [], 0.0, 0.0
-        new = [split(lo, hi, _gauss(pdf, lo, hi))]
+        new = [split(lo, hi, _gauss(pdf, lo, hi, support))]
         while True:
             for panel in new:
                 heapq.heappush(heap, panel)
@@ -413,7 +417,7 @@ class QuadratureDistribution(Distribution):
             if x >= hi:
                 return 1.0
             i = bisect_right(self._edges, x) - 1
-            mass = self._below[i] + _gauss(self._raw_pdf, self._edges[i], x)[0]
+            mass = self._below[i] + _gauss(self._raw_pdf, self._edges[i], x, self._support)[0]
             return min(max(mass / self._norm, 0.0), 1.0)
 
         return _elementwise(x, _each(cdf))
@@ -435,7 +439,7 @@ class QuadratureDistribution(Distribution):
             if t >= hi:
                 return 0.0
             i = bisect_right(self._edges, t)
-            return (self._above[i] + _gauss(self._raw_pdf, t, self._edges[i])[1]) / self._norm
+            return (self._above[i] + _gauss(self._raw_pdf, t, self._edges[i], self._support)[1]) / self._norm
 
         return _elementwise(t, _each(partial_expectation))
 

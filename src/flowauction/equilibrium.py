@@ -28,9 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bisect import find_crossings
 from .distributions import Beta, Distribution, check_tol
-from .errors import BracketError, ConvergenceError, InvalidParamsError
+from .errors import ConvergenceError, InvalidParamsError
 
 __all__ = [
     "AuctionParams",
@@ -217,7 +216,7 @@ def _bid_bracket(top, strike, alpha):
 
 
 def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
-    """Initial upper bracket of the bid root finders: the bid whose threshold is the support top.
+    """The upper bid bracket: the bid whose threshold is the support top.
 
     That is ``(hi - K) / (1 - alpha)``, or ``hi - K`` at ``alpha = 1``.  Raises
     :class:`ConvergenceError` when it overflows: no float bid then reaches
@@ -286,20 +285,19 @@ def solve_columns(
     by its name (``effective_spread`` also where ``p_exec <= 0``, where the record
     holds None), and the statuses.  ``d`` is one law for every element, or a
     sequence with one law per element.  The elements form one table, a row
-    each of auction fields and law columns, whose arrays are passed to
-    :func:`find_crossings` as its columns: each round receives the table of
-    the searches still running and reads each law family once, on their bids
-    (all Beta laws through one Beta holding each row's shapes, in any element
-    order).  Each element takes exactly the float steps a
-    search of its own would, so element ``i`` of the result equals
+    each of auction fields and law columns; each Newton round takes the rows
+    of the searches still running and reads each law family once, on their
+    bids (all Beta laws through one Beta holding each row's shapes, in any
+    element order).  Each element takes exactly the float steps a search of
+    its own would, so element ``i`` of the result equals
     ``solve_equilibrium(d_i, params_seq[i], tol)``.  The execution-right
     check, the upper bracket, the boundary regimes and the residual gate are
-    array arithmetic over all elements, and each outcome is a mask: refused, or gated by the
-    residual, which also fails the NaN bid of a search bracketing no crossing from twice the bracket.
-    Python runs per element only to build the statuses and the message of a
-    failure.  When elements fail, the error raised is the first failing
-    element's, as a loop over ``params_seq`` would raise it.
-    ``sweep --figure2`` solves its 4 laws × 101 alphas in one such call.
+    array arithmetic over all elements, and each outcome is a mask: refused,
+    or gated by the residual.  Python runs per element only to build the
+    statuses and the message of a failure.  When elements fail, the error
+    raised is the first failing element's, as a loop over ``params_seq``
+    would raise it.  ``sweep --figure2`` solves its 4 laws × 101 alphas in
+    one such call.
     """
     params_seq = list(params_seq)
     each = [d] * len(params_seq) if isinstance(d, Distribution) else list(d)
@@ -316,24 +314,31 @@ def solve_columns(
     eroded = (batch.alpha == 0.0) & (batch.p == 0.0)
     solved = ~(eroded | refused)
 
-    def utility(bids: np.ndarray, *rows: np.ndarray) -> np.ndarray:
-        at = _Batch(*rows, batch.groups, batch.forced)
-        t = _threshold(at, bids)
-        return _utility(at, bids, t, *at.read(t))
-
-    def crossings(i: np.ndarray, top: np.ndarray) -> np.ndarray:
-        return find_crossings(utility, np.zeros(i.size), top, *(column[i] for column in batch[:-2]))
-
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         b = np.where(eroded, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
-        search = np.flatnonzero(solved)
-        b[search] = crossings(search, upper[search])
-        again = search[np.isnan(b[search])]  # a NaN root: the bracket holds no crossing
-        if again.size:
-            # the threshold at the upper bracket can round to just below the support
-            # top, where a sliver of option value outweighs a tiny alpha * b: those
-            # searches run again from twice the bracket, which no rounding undoes
-            b[again] = crossings(again, 2.0 * upper[again])
+        # Newton's method from b = 0.  U is convex and nonincreasing in b, so its steps
+        # rise toward the root and, in exact arithmetic, never pass it; rounding in a law's
+        # reads can send one far off, and a step at or beyond right bisects [left, right]
+        i = np.flatnonzero(solved)  # the searches still running
+        x, left, right = b[i], b[i], 2.0 * upper[i]
+        newton = np.ones(i.size, dtype=bool)  # b = 0 counts as a Newton point
+        while i.size:
+            at = _Batch(*(column[i] for column in batch[:-2]), batch.groups, batch.forced)
+            t = _threshold(at, x)
+            F, P = at.read(t)
+            u = _utility(at, x, t, F, P)
+            step = x + u / (at.alpha + at.contingent * (at.p + at.decides * (1.0 - F)))  # U'(x) = -(...)
+            positive = u > 0.0
+            left, right = np.where(positive, x, left), np.where(positive, right, x)
+            # x is the root where a Newton point has U <= 0 (or NaN), or where the step does not rise
+            ends = np.where(positive, ~(step > x), newton)
+            newton = positive & (step < right)
+            mid = left + 0.5 * (right - left)
+            collapsed = ~newton & ((mid == left) | (mid == right))  # two adjacent floats: right is the root
+            b[i] = np.where(ends, x, right)  # final where the search ends here, rewritten where it runs on
+            keep = ~(ends | collapsed)
+            i, x = i[keep], np.where(newton, step, mid)[keep]
+            left, right, newton = left[keep], right[keep], newton[keep]
 
         columns = _record_columns(batch, b)
         residual = columns["residual"]
@@ -345,8 +350,6 @@ def solve_columns(
     failing = refused | gated
     if failing.any():
         i = int(np.argmax(failing))
-        if np.isnan(b[i]):  # no crossing, also from twice the bracket
-            raise BracketError(f"no sign change up to {2.0 * float(upper[i])}; f is positive at both ends")
         # a refused element raises from the checks that refused it, with their messages
         check_execution_right(each[i], params_seq[i])
         upper_bid_bracket(each[i], params_seq[i])
@@ -367,21 +370,20 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Solve the zero-profit condition for the equilibrium bid.
 
-    Expected utility is nonincreasing in b, positive at b = 0 (whenever
-    winning has value) and eventually negative, so a sign change always
-    exists; the search of :mod:`flowauction._bisect` narrows that bracket
-    with safeguarded Chandrupatla steps (inverse quadratic interpolation or
-    bisection) until it is two adjacent floats, in about 10 evaluations of
-    the utility.  This is :func:`solve_equilibria` of one element: its lone
-    search steps on scalars, but reads the law on one-element arrays each
-    round, so grids are still best solved in one call.  The
-    initial upper bracket ``(hi - K)/(1 - alpha)`` places the execution
-    threshold at the top of the support, where the utility is nonpositive;
-    where rounding leaves that threshold just below the top and a tiny
-    ``alpha * b`` leaves the utility positive, the search runs again from
-    twice the bracket.  The law is evaluated once more, at the root, for
-    the residual, execution probability, revenue and spread.  Two boundary
-    regimes bypass the root search:
+    Expected utility is convex and nonincreasing in b, with slope
+    ``-(alpha + (1 - alpha) (p + (1 - p - q) (1 - F(t))))`` at the threshold
+    ``t``, which reads only the CDF that every law read returns.  So Newton's
+    steps from b = 0 rise toward the root and, in exact arithmetic, never pass
+    it; the search ends where a step does not rise, or where a Newton point's
+    utility is nonpositive, in about 6 evaluations of the utility.  A step at
+    or beyond twice the initial upper bracket ``(hi - K)/(1 - alpha)`` (where
+    the threshold passes the support top and the utility is ``-alpha * b``
+    or less) bisects the bracket of the points tried instead, so rounding in
+    a law's reads cannot send the search far off.  This is
+    :func:`solve_equilibria` of one element, so grids are best solved in one
+    call.  The law is evaluated once more, at the root, for the residual,
+    execution probability, revenue and spread.  Two boundary regimes bypass
+    the root search:
 
     * ``alpha = 0`` and ``p = 0``: expected utility is nonnegative for every
       bid and reaches zero only at ``b = hi - K``, where competition has
@@ -402,11 +404,9 @@ def solve_equilibrium(
     Raises:
         InvalidParamsError: strike at or above the support top with p = 0,
             or ``tol`` not positive and finite.
-        BracketError: the utility is positive at the upper end of the
-            searched bracket (bug signal).
         ConvergenceError: the residual at the root found exceeds ``tol``
-            times the price scale (the search stops at adjacent floats, so a
-            tiny ``tol`` can be out of reach), or the root or residual is not
+            times the price scale (the search stops where a step no longer
+            moves the bid, so a tiny ``tol`` can be out of reach), or the root or residual is not
             finite; the message names the law and alpha.  Also raised when
             the initial upper bracket overflows (see
             :func:`upper_bid_bracket`).

@@ -1,6 +1,6 @@
 """Semantic exceptions shared across the package."""
 
-__all__ = ["AuctionError", "InvalidParamsError", "BracketError", "ConvergenceError"]
+__all__ = ["AuctionError", "InvalidParamsError", "ConvergenceError"]
 
 
 class AuctionError(Exception):
@@ -9,11 +9,6 @@ class AuctionError(Exception):
 
 class InvalidParamsError(AuctionError, ValueError):
     """Inputs violate a documented contract (domain, shape, or consistency)."""
-
-
-class BracketError(AuctionError, RuntimeError):
-    """A sign-change bracket could not be established; indicates a bug or
-    an input outside the model's premises rather than a user mistake."""
 
 
 class ConvergenceError(AuctionError, ArithmeticError):

@@ -1,4 +1,4 @@
-"""Properties of the shared bracketed root finder ``find_crossings``, checked
+"""Properties of ``find_crossings``, the bracketed root finder of quadrature-law sampling, checked
 through :func:`find_crossing`, its one-search form, and against a scalar
 statement of its step."""
 
@@ -12,16 +12,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flowauction._bisect import find_crossings
-from flowauction.errors import BracketError
+
+
+class NoCrossing(Exception):
+    """What these tests make of a NaN root of ``find_crossings``: ``f(hi)`` is positive."""
 
 
 def no_crossing(hi):
-    return BracketError(f"no sign change up to {hi}; f is positive at both ends")
+    return NoCrossing(f"no sign change up to {hi}; f is positive at both ends")
 
 
 def find_crossing(f, lo, hi):
     """The crossing of a nonincreasing ``f`` from positive to nonpositive, searched
-    from ``[lo, hi]`` as ``find_crossings`` describes; raises a :class:`BracketError`
+    from ``[lo, hi]`` as ``find_crossings`` describes; raises a :class:`NoCrossing`
     where its root is NaN: ``f(hi)`` is positive too."""
     (root,) = find_crossings(lambda x: np.array([f(float(x[0]))]), [lo], [hi])
     if np.isnan(root):
@@ -131,7 +134,7 @@ def test_finds_the_crossing_within_three_bisections_per_halving(case):
 @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: 1.0 + math.exp(-x), lambda x: x])
 def test_positive_at_hi_is_a_bracket_error_after_two_evaluations(f):
     g = counted(f)
-    with pytest.raises(BracketError, match="no sign change up to 1.0"):
+    with pytest.raises(NoCrossing, match="no sign change up to 1.0"):
         find_crossing(g, 0.5, 1.0)
     assert g.calls == 2  # f(lo), then f(hi); the bracket is never widened
 
@@ -145,7 +148,7 @@ def test_nonpositive_at_lo_returns_lo_after_one_evaluation(f_lo):
 
 def lockstep(cases):
     """``find_crossings`` over ``(f, lo, hi)`` cases, each ``f`` passed as a column and
-    called on its own points: each case's root, or a :class:`BracketError` where the
+    called on its own points: each case's root, or a :class:`NoCrossing` where the
     root is NaN."""
     def f(points, fs):
         return np.array([g(x) for g, x in zip(fs, points.tolist())])
@@ -166,10 +169,10 @@ def test_lockstep_equals_each_search_alone(cases, data):
     for (f, lo, hi), got in zip(cases, lockstep(cases)):
         try:
             want = find_crossing(f, lo, hi)
-        except BracketError as exc:
-            assert isinstance(got, BracketError) and str(got) == str(exc)
+        except NoCrossing as exc:
+            assert isinstance(got, NoCrossing) and str(got) == str(exc)
         else:
-            assert not isinstance(got, BracketError) and got.hex() == float(want).hex()
+            assert not isinstance(got, NoCrossing) and got.hex() == float(want).hex()
 
 
 def test_lockstep_calls_f_once_per_round_on_the_running_searches():
@@ -180,7 +183,7 @@ def test_lockstep_calls_f_once_per_round_on_the_running_searches():
     evals = []
     for shift in shifts.tolist():
         g = counted(lambda x, shift=shift: shift - x)
-        with contextlib.suppress(BracketError):
+        with contextlib.suppress(NoCrossing):
             find_crossing(g, 0.0, 1.0)
         evals.append(g.calls)
     received = []
@@ -218,7 +221,7 @@ def reference_search(lo, hi):
         return lo
     f_hi = yield hi
     if f_hi > 0.0:
-        raise BracketError(f"no sign change up to {hi}; f is positive at both ends")
+        raise NoCrossing(f"no sign change up to {hi}; f is positive at both ends")
     # a: newest point, b: the other bracket end, c: the end last dropped
     a, fa, b, fb = lo, f_lo, hi, f_hi
     t = 0.5
@@ -252,7 +255,7 @@ def reference_search(lo, hi):
 
 
 def reference_crossing(f, lo, hi):
-    """What ``reference_search`` returns on ``f``, or the :class:`BracketError` it raises."""
+    """What ``reference_search`` returns on ``f``, or the :class:`NoCrossing` it raises."""
     search = reference_search(lo, hi)
     x = next(search)
     try:
@@ -260,15 +263,15 @@ def reference_crossing(f, lo, hi):
             x = search.send(f(x))
     except StopIteration as stop:
         return stop.value
-    except BracketError as exc:
+    except NoCrossing as exc:
         return exc
 
 
 def assert_same_outcome(got, want):
-    if isinstance(want, BracketError):
-        assert isinstance(got, BracketError) and str(got) == str(want)
+    if isinstance(want, NoCrossing):
+        assert isinstance(got, NoCrossing) and str(got) == str(want)
     else:
-        assert not isinstance(got, BracketError) and got.hex() == float(want).hex()
+        assert not isinstance(got, NoCrossing) and got.hex() == float(want).hex()
 
 
 @settings(max_examples=200, deadline=None)

@@ -446,15 +446,20 @@ def test_a_node_rounded_onto_an_infinite_end_moves_inside(k):
 
 
 @pytest.mark.parametrize("lo", [1.0, 0.0])
-def test_a_span_with_no_float_inside_and_an_infinite_end_adds_nothing(lo):
-    # Beta(0.5, 1) on [lo, lo + 1]: every node of the span from the infinite
-    # end to the next float is an end.  Its mass is taken as 0, within the
-    # law's tolerance of the exact sqrt(ulp) (1.5e-8 above 1), not inf or NaN.
-    law = Beta(0.5, 1.0)
-    d = QuadratureDistribution(lambda x: law.pdf(x - lo), SupportInterval(lo, lo + 1.0), tol=1e-8)
-    above = math.nextafter(lo, 2.0)
-    assert d.cdf(above) == 0.0
-    assert 0.0 < d.cdf(math.nextafter(above, 2.0)) < 1e-7
+def test_a_span_with_no_float_inside_is_read_off_the_support_end(lo):
+    # 1 / (2 sqrt(x - lo)) and 1 / (2 sqrt(hi - x)) on [lo, hi = lo + 1] are infinite
+    # at one end, where x ** -0.5 raises ZeroDivisionError.  The span from that end
+    # to the next float holds no float inside, so the rule reads the density at the
+    # span's other end only: within the law's tolerance of the exact mass sqrt(ulp)
+    # (1.5e-8 above 1), not inf, NaN or a raise
+    hi, tol = lo + 1.0, 1e-8
+    rising = QuadratureDistribution(lambda x: 0.5 * (x - lo) ** -0.5, SupportInterval(lo, hi), tol=tol)
+    above = math.nextafter(lo, hi)
+    assert abs(rising.cdf(above) - math.sqrt(above - lo)) <= tol
+    assert 0.0 < rising.cdf(math.nextafter(above, hi)) < 1e-7
+    falling = QuadratureDistribution(lambda x: 0.5 * (hi - x) ** -0.5, SupportInterval(lo, hi), tol=tol)
+    below = math.nextafter(hi, lo)
+    assert abs(falling.partial_expectation(below) - hi * math.sqrt(hi - below)) <= tol * hi
 
 
 # ---------------------------------------------------------------------------
