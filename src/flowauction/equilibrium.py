@@ -168,14 +168,18 @@ def _threshold(batch: _Batch, b):
 
 
 # Every quantity at a bid reads the law only through F = cdf(t) and
-# P = partial_expectation(t) at the threshold t; _record_columns reads them once.
+# P = partial_expectation(t) at the threshold t; _record_columns takes them from
+# the read that ended a search, or reads them once.
 
-def _utility(batch: _Batch, b, t, F, P):
+def _utility(where, batch: _Batch, b, t, F, P):
+    """The winner's utility at bid ``b``, from the reads ``F`` and ``P`` at its threshold
+    ``t``; ``where`` chooses the forced term, ``np.where`` on arrays or a conditional
+    on float64 scalars."""
     eu = batch.decides * (P - t * (1.0 - F)) - batch.alpha * b
     if not batch.forced:
         return eu
     forced = batch.p * (batch.mean - batch.strike - batch.contingent * b)
-    return np.where(batch.p > 0.0, eu + forced, eu)
+    return where(batch.p > 0.0, eu + forced, eu)
 
 
 def expected_utility(d: Distribution, params: AuctionParams, b: float) -> float:
@@ -231,21 +235,24 @@ def upper_bid_bracket(d: Distribution, params: AuctionParams) -> float:
     return upper
 
 
-def _record_columns(batch: _Batch, b: np.ndarray) -> dict[str, np.ndarray]:
+def _record_columns(batch: _Batch, b: np.ndarray, F=None, P=None) -> dict[str, np.ndarray]:
     """The fields of the record of bid ``b[i]`` under element ``i``, for every ``i``,
     as arrays keyed by field name: b, threshold, p_exec, spread, revenue and utility.
 
-    Each law is read once, at all its elements' thresholds, for every field.
+    ``F`` and ``P`` are each law's ``cdf`` and ``partial_expectation`` at its elements'
+    thresholds, which a solve has from the round that ended each search; where they
+    are not given, each law is read here, once, for every field.
     """
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         t = _threshold(batch, b)
-        F, P = batch.read(t)
+        if F is None:
+            F, P = batch.read(t)
         p_exec = batch.p + batch.decides * (1.0 - F)
         num = batch.decides * (P - batch.strike * (1.0 - F))  # E[(S - K) 1{execution}]
         if batch.forced:
             num = np.where(batch.p > 0.0, num + batch.p * (batch.mean - batch.strike), num)
         return dict(b_star=b, threshold=t, p_exec=p_exec, effective_spread=num / p_exec,
-                    revenue=revenue(batch, b, p_exec), residual=_utility(batch, b, t, F, P))
+                    revenue=revenue(batch, b, p_exec), residual=_utility(np.where, batch, b, t, F, P))
 
 
 def defined_spreads(columns: dict[str, np.ndarray]) -> list:
@@ -270,6 +277,48 @@ def solution_at(d: Distribution, params: AuctionParams, b: float) -> Equilibrium
     return _records(_record_columns(_Batch.of([params], [d]), np.array([b], dtype=float)), [None])[0]
 
 
+def _newton(where, at: _Batch, x, t, F, P, left, right, newton, last):
+    """One Newton round of the searches at bids ``x``, whose thresholds ``t`` read
+    ``F`` and ``P``: whether each ends at ``x``, and its next ``x, left, right, newton,
+    last``, in arithmetic and ``where`` alone, so arrays with ``np.where`` and float64
+    scalars with a conditional take the same float steps.  U is convex and
+    nonincreasing in b, so the steps rise toward the root and, in exact arithmetic,
+    never pass it; rounding in a law's reads can send one far off, and a step at or
+    beyond ``right`` bisects ``[left, right]`` instead.  A search ends at a Newton
+    point with U <= 0 (or NaN), at a step that does not rise, or in the round after
+    ``last``: a bracket collapsed to two adjacent floats reads ``right``, its root,
+    in one more round."""
+    u = _utility(where, at, x, t, F, P)
+    step = x + u / (at.alpha + at.contingent * (at.p + at.decides * (1.0 - F)))  # U'(x) = -(...)
+    positive = u > 0.0
+    left, right = where(positive, x, left), where(positive, right, x)
+    ends = where(positive, ~(step > x), newton) | last
+    newton = positive & (step < right)
+    mid = left + 0.5 * (right - left)
+    collapsed = ~newton & ((mid == left) | (mid == right))
+    return ends, where(newton, step, where(collapsed, right, mid)), left, right, newton, collapsed
+
+
+def _alone(batch: _Batch, k, x, left, right, newton, last):
+    """The bid where the one search still running, that of row ``k``, ends, with ``F``
+    and ``P`` there: :func:`_newton` on its state as float64 scalars (not Python
+    floats, whose division by zero raises and whose ``~True`` is -2) with a
+    conditional for ``np.where``, reading its law on one-element arrays, under the
+    caller's ``np.errstate``."""
+    def where(condition, yes, no):
+        return yes if condition else no
+
+    at = _Batch(*(column[k:k + 1] for column in batch[:-2]), batch.groups, batch.forced)
+    row = _Batch(*(column[k] for column in batch[:-2]), batch.groups, batch.forced)
+    while True:
+        t = _threshold(row, x)
+        F, P = at.read(np.array([t]))
+        ends, after, left, right, newton, last = _newton(where, row, x, t, F[0], P[0], left, right, newton, last)
+        if ends:
+            return x, F[0], P[0]
+        x = after
+
+
 def solve_equilibria(
     d: Distribution | Sequence[Distribution], params_seq: Sequence[AuctionParams], tol: float = 1e-12
 ) -> list[EquilibriumSolution]:
@@ -288,9 +337,15 @@ def solve_columns(
     each of auction fields and law columns; each Newton round takes the rows
     of the searches still running and reads each law family once, on their
     bids (all Beta laws through one Beta holding each row's shapes, in any
-    element order).  Each element takes exactly the float steps a search of
+    element order).  A search left running alone, a lone solve's or the last
+    of a grid's, takes the same steps on float64 scalars, reading its law on
+    one-element arrays.  Each element takes exactly the float steps a search of
     its own would, so element ``i`` of the result equals
-    ``solve_equilibrium(d_i, params_seq[i], tol)``.  The execution-right
+    ``solve_equilibrium(d_i, params_seq[i], tol)``.  No law is read again at
+    the roots: each record takes ``cdf`` and ``partial_expectation`` from the
+    round that ended its search.  An eroded element (``alpha = 0``, ``p = 0``)
+    takes the first round at its bid and ends there, and a bracket collapsed
+    to two adjacent floats takes one more round, at its right end.  The execution-right
     check, the upper bracket, the boundary regimes and the residual gate are
     array arithmetic over all elements, and each outcome is a mask: refused,
     or gated by the residual.  Python runs per element only to build the
@@ -316,31 +371,23 @@ def solve_columns(
 
     with np.errstate(all="ignore"):  # inf and NaN arise quietly, as in float arithmetic
         b = np.where(eroded, upper, 0.0)  # at alpha = 0 the bracket is hi - K, the eroded bid
-        # Newton's method from b = 0.  U is convex and nonincreasing in b, so its steps
-        # rise toward the root and, in exact arithmetic, never pass it; rounding in a law's
-        # reads can send one far off, and a step at or beyond right bisects [left, right]
-        i = np.flatnonzero(solved)  # the searches still running
+        F, P = np.full((2, b.size), np.nan)  # the reads at b; a refused row takes none
+        # Newton's method from b = 0; an eroded row takes one round, at its bid, for its reads
+        i = np.flatnonzero(~refused)  # the searches still running
         x, left, right = b[i], b[i], 2.0 * upper[i]
-        newton = np.ones(i.size, dtype=bool)  # b = 0 counts as a Newton point
-        while i.size:
+        newton, last = np.ones(i.size, dtype=bool), eroded[i]  # b = 0 counts as a Newton point
+        while i.size > 1:
             at = _Batch(*(column[i] for column in batch[:-2]), batch.groups, batch.forced)
             t = _threshold(at, x)
-            F, P = at.read(t)
-            u = _utility(at, x, t, F, P)
-            step = x + u / (at.alpha + at.contingent * (at.p + at.decides * (1.0 - F)))  # U'(x) = -(...)
-            positive = u > 0.0
-            left, right = np.where(positive, x, left), np.where(positive, right, x)
-            # x is the root where a Newton point has U <= 0 (or NaN), or where the step does not rise
-            ends = np.where(positive, ~(step > x), newton)
-            newton = positive & (step < right)
-            mid = left + 0.5 * (right - left)
-            collapsed = ~newton & ((mid == left) | (mid == right))  # two adjacent floats: right is the root
-            b[i] = np.where(ends, x, right)  # final where the search ends here, rewritten where it runs on
-            keep = ~(ends | collapsed)
-            i, x = i[keep], np.where(newton, step, mid)[keep]
-            left, right, newton = left[keep], right[keep], newton[keep]
+            read = at.read(t)
+            b[i], F[i], P[i] = x, *read  # final where the search ends here, rewritten where it runs on
+            ends, x, left, right, newton, last = _newton(np.where, at, x, t, *read, left, right, newton, last)
+            keep = ~ends
+            i, x, left, right, newton, last = i[keep], x[keep], left[keep], right[keep], newton[keep], last[keep]
+        if i.size:  # a lone search steps on scalars
+            b[i], F[i], P[i] = _alone(batch, i[0], x[0], left[0], right[0], newton[0], last[0])
 
-        columns = _record_columns(batch, b)
+        columns = _record_columns(batch, b, F, P)
         residual = columns["residual"]
         # the search stops at once where utility at b = 0 is already nonpositive
         zero_bid = solved & (b == 0.0) & (residual <= 0.0)
@@ -381,9 +428,11 @@ def solve_equilibrium(
     or less) bisects the bracket of the points tried instead, so rounding in
     a law's reads cannot send the search far off.  This is
     :func:`solve_equilibria` of one element, so grids are best solved in one
-    call.  The law is evaluated once more, at the root, for the residual,
-    execution probability, revenue and spread.  Two boundary regimes bypass
-    the root search:
+    call; the search steps on float64 scalars, reading the law on one-element
+    arrays once a round.  The residual, execution probability, revenue and
+    spread take the law's reads from the round that ended the search, so the
+    law is not read again at the root.  Two boundary regimes bypass the root
+    search:
 
     * ``alpha = 0`` and ``p = 0``: expected utility is nonnegative for every
       bid and reaches zero only at ``b = hi - K``, where competition has

@@ -1,6 +1,6 @@
 import csv
 import math
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +26,7 @@ from flowauction import (
     solve_equilibrium,
     uniform_closed_form_bid,
 )
-from flowauction import distributions
+from flowauction import distributions, equilibrium
 from flowauction.cli import FIGURE2_DISTS, main
 from flowauction.equilibrium import _Batch, _record_columns, solution_at, upper_bid_bracket
 
@@ -285,10 +285,11 @@ class TestSolveEquilibrium:
     def test_figure2_grid_takes_few_utility_evaluations(self, monkeypatch, tmp_path):
         # wrapped the way bench/spans.py wraps the laws; the 4 laws' grids are one
         # lockstep search, whose rounds each read the Beta family once on the
-        # running searches, and then one read of the records at the roots.  Newton's
-        # steps take about 5.6 reads per root in 10 rounds, the bracketed search
-        # they replaced about 11.5 in 20, and plain bisection to adjacent floats
-        # about 58
+        # running searches, the eroded rows too in the first, and whose records
+        # take the reads of the round that ended each search: no read follows the
+        # last round.  Newton's steps take about 5.6 reads per root in 10 rounds,
+        # the bracketed search they replaced about 11.5 in 20, and plain bisection
+        # to adjacent floats about 58
         sizes: list[int] = []
 
         def counted(law, t):
@@ -300,10 +301,11 @@ class TestSolveEquilibrium:
         out = tmp_path / "figure2.csv"
         assert main(["sweep", "--figure2", "--output", str(out)]) == 0
         roots = out.read_text().count("interior_root")
-        assert roots == 400 and sizes[-1] == 404
-        rounds = sizes[:-1]
-        assert sum(rounds) / roots <= 8
-        assert len(rounds) <= 12
+        assert roots == 400 and sizes[0] == 404
+        # every read is a round over the searches still running, which only shrink
+        assert all(now >= later for now, later in pairwise(sizes))
+        assert sum(sizes) / roots <= 8
+        assert len(sizes) <= 12
 
     def test_closed_form_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
@@ -548,7 +550,7 @@ def test_the_figure2_sweep_reads_each_law_family_once_a_round(monkeypatch, tmp_p
     monkeypatch.setattr(distributions, "_special", lambda: stand_in)
     monkeypatch.setattr(_Batch, "read", read)
     assert main(["sweep", "--figure2", "--output", str(tmp_path / "figure2.csv")]) == 0
-    assert calls["betainc"] <= 2 * calls["read"] and calls["betainc"] <= 26
+    assert calls["betainc"] <= 2 * calls["read"] and calls["betainc"] <= 20
 
 
 def test_the_figure2_grid_matches_the_40_digit_reference():
@@ -571,6 +573,46 @@ def test_the_figure2_grid_matches_the_40_digit_reference():
             gate = (1e-12 + 4.0 * np.finfo(float).eps) / alpha[interior]
             assert (np.abs(columns[key] - want)[interior] <= gate).all()
             assert (columns[key][~interior] == want[~interior]).all()  # eroded: b* = 1 - K
+
+
+def test_the_figure2_derivatives_in_alpha_are_the_closed_forms():
+    # the implicit function theorem on U(b*, alpha) = 0, with U_alpha = -b (1 - p_exec)
+    # and U_b = -L, L = alpha + (1 - alpha) p_exec, at p = q = 0; each form reads F and
+    # the density f at t = K + (1 - alpha) b*, and each central difference of the solver
+    # at h = 1e-6 matches it within 1e-5 relative, plus the two solved values' own
+    # rounding, 4 eps each, over 2h: at alpha = 0.99 on Beta(2, 5), dR/dalpha is 9.7e-7
+    # and the revenues differ by about 200 ulps.  Where f(t) > 0 they carry the paper's
+    # signs: a lower alpha (a larger contingent share) bids more, executes less, raises
+    # less revenue and widens the spread.  Rows at alpha = 1 are left out: alpha + h
+    # would leave [0, 1]
+    h, strike = 1e-6, 0.5
+    laws = [DistributionSpec.parse(text).build() for text in FIGURE2_DISTS]
+    alphas = [float(a) for a in np.linspace(0.0, 1.0, 101)[1:-1]]
+    each = [d for d in laws for _ in alphas]
+
+    def solve(shift):
+        return solve_columns(each, [AuctionParams(strike, a + shift) for _ in laws for a in alphas])
+
+    (at, statuses), (up, _), (down, _) = solve(0.0), solve(h), solve(-h)
+    assert set(statuses) == {SolutionStatus.INTERIOR_ROOT}
+    alpha = np.tile(alphas, len(laws))
+    b, p_exec, t = at["b_star"], at["p_exec"], at["threshold"]
+    np.testing.assert_array_equal(p_exec, [1.0 - d.cdf(x) for d, x in zip(each, t.tolist())])
+    f = np.array([d.pdf(x) for d, x in zip(each, t.tolist())])
+    slope = alpha + (1.0 - alpha) * p_exec  # L = -U_b
+    closed = {
+        "b_star": -b * (1.0 - p_exec) / slope,
+        "p_exec": f * b / slope,
+        "revenue": (1.0 - alpha) * b**2 * f / slope,
+        "effective_spread": -f * alpha * b**2 / (p_exec**2 * slope),
+    }
+    signs = {"b_star": -1.0, "p_exec": 1.0, "revenue": 1.0, "effective_spread": -1.0}
+    assert (f > 0.0).all()
+    for key, form in closed.items():
+        central = (up[key] - down[key]) / (2.0 * h)
+        rounding = 4.0 * np.finfo(float).eps * (np.abs(up[key]) + np.abs(down[key])) / (2.0 * h)
+        assert (np.abs(central - form) <= 1e-5 * np.abs(form) + rounding).all(), key
+        assert (np.sign(form) == signs[key]).all() and (np.sign(central) == signs[key]).all(), key
 
 
 QUAD = QuadratureDistribution(lambda x: x * (2.0 - x), SupportInterval(0.0, 2.0))
@@ -637,6 +679,62 @@ def test_a_batch_gives_each_element_what_it_gives_alone(cases, data):
     shuffled, shuffled_statuses = solve_columns([laws[k] for k in order], [grid[k] for k in order])
     assert hex_rows(shuffled) == [rows[k] for k in order]
     assert shuffled_statuses == [statuses[k] for k in order]
+
+
+# the lone search's edge paths: forced execution, an eroded element, a zero bid,
+# a quadrature law, and a bracket collapsed to right, which a tol of 1e300 lets
+# past the residual gate of 1e300 at bid 2.0
+EDGES = [(U01, AuctionParams(0.25, 0.5, p=0.4, q=0.1)), (Beta(2.0, 5.0), AuctionParams(0.5, 0.0)),
+         (U01, AuctionParams(0.8, 0.5, p=0.5, q=0.2)), (QUAD, AuctionParams(1.0, 0.5)),
+         (Limitless(0.0, 1.0), AuctionParams(0.5, 0.5))]
+
+
+def test_a_lone_search_on_scalars_takes_the_steps_of_the_array_search(monkeypatch):
+    # each case alone runs on float64 scalars; in a batch that holds every case twice,
+    # the two copies of the longest search end in one round, so every case runs in
+    # arrays there, and each record's bits and status are those of the case alone
+    lone = []
+
+    def alone(batch, k, *state):
+        lone.append(k)
+        return original(batch, k, *state)
+
+    original = equilibrium._alone
+    monkeypatch.setattr(equilibrium, "_alone", alone)
+    records = [solve_columns(d, [params], tol=1e300) for d, params in EDGES]
+    assert lone == [0, 0, 0, 0, 0]
+    assert [statuses for _, statuses in records] == [
+        [SolutionStatus.INTERIOR_ROOT], [SolutionStatus.BOUNDARY_FULL_EROSION],
+        [SolutionStatus.BOUNDARY_ZERO_BID], [SolutionStatus.INTERIOR_ROOT], [SolutionStatus.INTERIOR_ROOT]]
+    assert records[-1][0]["b_star"][0] == 2.0 and records[-1][0]["residual"][0] == 1e300
+    columns, statuses = solve_columns([d for d, _ in EDGES * 2], [params for _, params in EDGES * 2], tol=1e300)
+    assert lone == [0, 0, 0, 0, 0]
+    rows = hex_rows(columns)
+    for k, (alone_columns, alone_statuses) in enumerate(records * 2):
+        assert rows[k] == hex_rows(alone_columns)[0] and statuses[k:k + 1] == alone_statuses, k
+
+
+def test_a_lone_solve_reads_its_law_once_a_newton_round_and_not_again(monkeypatch):
+    # each round of a lone search reads cdf and partial_expectation once, on a
+    # one-element array, and the record takes the reads of the round that ended the
+    # search; newton_reference reads partial_expectation once a round, through
+    # expected_utility, and ends where the solver does at these interior roots
+    for d, params in [(U01, AuctionParams(0.5, 0.25)), (Beta(2.0, 5.0), AuctionParams(0.5, 0.25)),
+                      (QUAD, AuctionParams(1.0, 0.5)), (U01, AuctionParams(0.5, 0.5, p=0.3, q=0.1))]:
+        shapes: dict[str, list] = {"cdf": [], "partial_expectation": []}
+        for name, calls in shapes.items():
+            def counted(law, x, original=getattr(type(d), name), calls=calls):
+                calls.append(np.shape(x))
+                return original(law, x)
+            monkeypatch.setattr(type(d), name, counted)
+        want = newton_reference(d, params)
+        rounds = len(shapes["partial_expectation"])
+        for calls in shapes.values():
+            calls.clear()
+        sol = solve_equilibrium(d, params)
+        assert sol.b_star == want and sol.status == SolutionStatus.INTERIOR_ROOT
+        assert shapes == {"cdf": [(1,)] * rounds, "partial_expectation": [(1,)] * rounds}, d
+        monkeypatch.undo()
 
 
 def test_the_forced_term_is_added_only_where_p_is_positive():
