@@ -1,8 +1,10 @@
 import csv
 import math
+from dataclasses import astuple, replace
 from itertools import pairwise, zip_longest
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from flowauction import (
     Beta,
     ConvergenceError,
     DistributionSpec,
+    EquilibriumSolution,
     InvalidParamsError,
     QuadratureDistribution,
     SolutionStatus,
@@ -28,7 +31,7 @@ from flowauction import (
 )
 from flowauction import distributions, equilibrium
 from flowauction.cli import FIGURE2_DISTS, main
-from flowauction.equilibrium import _Batch, _record_columns, solution_at, upper_bid_bracket
+from flowauction.equilibrium import _Batch, _record_columns, _records, solution_at, upper_bid_bracket
 
 U01 = Uniform(0.0, 1.0)
 
@@ -695,20 +698,20 @@ def test_a_lone_search_on_scalars_takes_the_steps_of_the_array_search(monkeypatc
     # arrays there, and each record's bits and status are those of the case alone
     lone = []
 
-    def alone(batch, k, *state):
-        lone.append(k)
-        return original(batch, k, *state)
+    def alone(row, *state):
+        lone.append(type(row.strike))
+        return original(row, *state)
 
     original = equilibrium._alone
     monkeypatch.setattr(equilibrium, "_alone", alone)
     records = [solve_columns(d, [params], tol=1e300) for d, params in EDGES]
-    assert lone == [0, 0, 0, 0, 0]
+    assert lone == [np.float64] * 5
     assert [statuses for _, statuses in records] == [
         [SolutionStatus.INTERIOR_ROOT], [SolutionStatus.BOUNDARY_FULL_EROSION],
         [SolutionStatus.BOUNDARY_ZERO_BID], [SolutionStatus.INTERIOR_ROOT], [SolutionStatus.INTERIOR_ROOT]]
     assert records[-1][0]["b_star"][0] == 2.0 and records[-1][0]["residual"][0] == 1e300
     columns, statuses = solve_columns([d for d, _ in EDGES * 2], [params for _, params in EDGES * 2], tol=1e300)
-    assert lone == [0, 0, 0, 0, 0]
+    assert lone == [np.float64] * 5
     rows = hex_rows(columns)
     for k, (alone_columns, alone_statuses) in enumerate(records * 2):
         assert rows[k] == hex_rows(alone_columns)[0] and statuses[k:k + 1] == alone_statuses, k
@@ -743,10 +746,143 @@ def test_the_forced_term_is_added_only_where_p_is_positive():
     assert solution_at(Uniform(-1e308, 0.0), AuctionParams(-2.0, 0.0, q=0.5), 1.5e308).residual == 0.0
     d, params, b = Uniform(0.5e308, 1e308), AuctionParams(-1.5e308, 0.0), 1.5e308  # mean - K overflows
     forced = AuctionParams(0.5, 0.5, p=0.5)
-    columns = _record_columns(_Batch.of([params, forced], [d, U01]), np.array([b, 0.3]))
+    columns = _record_columns(np.where, _Batch.of([params, forced], [d, U01]), np.array([b, 0.3]))
     for k, lone in enumerate([solution_at(d, params, b), solution_at(U01, forced, 0.3)]):
         assert [float(column[k]).hex() for column in columns.values()] == [
             float(getattr(lone, key)).hex() for key in columns]
+
+
+def test_the_last_search_of_a_mixed_grid_reads_only_its_own_law(monkeypatch):
+    # the Beta element at a tiny alpha outlasts the others, so its last rounds run
+    # alone; each of them reads a table of its own law, not every group of the grid
+    reads = []
+
+    def read(table, t):
+        reads.append((t.size, len(table.groups)))
+        return original(table, t)
+
+    original = _Batch.read
+    monkeypatch.setattr(_Batch, "read", read)
+    laws = [U01, Beta(2.0, 5.0), QUAD]
+    grid = [AuctionParams(0.5, 0.5), AuctionParams(0.5, 1e-6), AuctionParams(1.0, 0.5)]
+    columns, statuses = solve_columns(laws, grid)
+    assert reads[0] == (3, 3) and [size for size, _ in reads].count(1) >= 2
+    assert [groups for size, groups in reads if size == 1] == [1] * [size for size, _ in reads].count(1)
+    for k, (d, params) in enumerate(zip(laws, grid)):
+        alone, alone_statuses = solve_columns(d, [params])
+        assert hex_rows(columns)[k] == hex_rows(alone)[0] and statuses[k:k + 1] == alone_statuses
+
+
+@st.composite
+def lone_cases(draw):
+    """A law (Uniform on a random support, Beta with shapes 0.2-50, or a quadrature
+    law), auction parameters with a strike off, in or above the support and alpha
+    0, 1, 5e-324 or any, and a tol from out of reach to no gate at all."""
+    uniforms = st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+    d = draw(uniforms | st.builds(Beta, st.floats(0.2, 50.0), st.floats(0.2, 50.0)) | st.just(QUAD))
+    lo, hi = d.support.lo, d.support.hi
+    strike = lo + draw(st.floats(-1.0, 1.25)) * (hi - lo)  # at or above the top: refused unless p > 0
+    alpha = draw(st.sampled_from([0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0))
+    p = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    q = draw(st.floats(0.0, 1.0 - p))
+    tol = draw(st.sampled_from([1e-300, 1e300]) | st.floats(1e-16, 1e-6))
+    return d, AuctionParams(strike, alpha, p, q), tol
+
+
+def hexed(outcome):
+    """A record's fields as hex (None for an undefined spread) and its status, or a
+    refusal's exception type and message."""
+    if isinstance(outcome, EquilibriumSolution):
+        return [None if x is None else float(x).hex() for x in astuple(outcome)[:-1]], outcome.status
+    return outcome
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ConvergenceError, InvalidParamsError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=lone_cases(), data=st.data())
+def test_a_lone_solve_and_record_are_their_row_of_a_grid(case, data):
+    # a lone solve runs on float64 scalars from set-up to record; a batch that holds
+    # the element twice ends both copies in one round, so it never runs alone and
+    # takes every step on arrays: the bits, the status and any refusal are the same
+    d, params, tol = case
+    with mock.patch.object(equilibrium, "_alone", side_effect=AssertionError("a batch of two ran alone")):
+        pair = outcome(lambda: solve_equilibria([d, d], [params, params], tol)[0])
+    assert hexed(outcome(lambda: solve_equilibrium(d, params, tol))) == hexed(pair)
+    assert hexed(outcome(lambda: solve_equilibria(d, [params], tol)[0])) == hexed(pair)
+    # the record of a given bid, on a row of scalars and on an array batch
+    b = data.draw(st.floats() | st.floats(-1.0, 3.0).map(lambda u: u * (d.support.hi - d.support.lo)))
+    columns = _record_columns(np.where, _Batch.of([params] * 2, [d] * 2), np.array([b, b]))
+    assert hexed(solution_at(d, params, b)) == hexed(_records(columns, [None] * 2)[0])
+
+
+@st.composite
+def interior_points(draw):
+    """A law, a strike between its 5% and 95% quantiles, alpha in [0.01, 0.99], and
+    p and q each 0 or in [0.01, 0.45]."""
+    uniforms = st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-10.0, 10.0), st.floats(0.1, 10.0))
+    d = draw(uniforms | st.builds(Beta, st.floats(0.5, 20.0), st.floats(0.5, 20.0)) | st.just(QUAD))
+    strike = d.support.lo + draw(st.floats(0.0, 1.0)) * (d.support.hi - d.support.lo)
+    assume(0.05 <= d.cdf(strike) <= 0.95)
+    p, q = (draw(st.just(0.0) | st.floats(0.01, 0.45)) for _ in range(2))
+    return d, AuctionParams(strike, draw(st.floats(0.01, 0.99)), p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=interior_points())
+def test_the_derivatives_are_the_closed_forms_at_any_interior_point(point):
+    # ROADMAP item 15: the implicit function theorem on U(b*, alpha, K, p, q) = 0, with
+    # U_b = -L, L = alpha + (1 - alpha) p_exec, D = 1 - p - q, and
+    # U_alpha = -b (1 - p_exec), U_K = -p_exec, U_p = -E[(t - S)+], U_q = -E[(S - t)+];
+    # each form reads F, P and the density f at t = K + (1 - alpha) b*.  Each central
+    # difference of the solver matches it within the figure-2 test's bound, 1e-5
+    # relative plus 4 eps of each solved value over 2h, at h = 1e-5 (in K, of the
+    # support's width): the residual's rounding, some eps of the price scale, moves
+    # b* by about that over L, which at h = 1e-6 is near the bound where the
+    # revenue's derivative is small (alpha near 1, or p and q large).  A b* below 1%
+    # of the width leaves too few digits to difference, so such points are left out.
+    # Where f(t) > 0, every derivative has its strict sign: a lower alpha bids more,
+    # executes less, raises less revenue and widens the spread, and a higher strike,
+    # p or q lowers the bid
+    d, params = point
+    lo, hi = d.support.lo, d.support.hi
+    steps = {"alpha": 1e-5, "strike": 1e-5 * (hi - lo), "p": 1e-5, "q": 1e-5}
+    steps = {name: h for name, h in steps.items() if name == "strike" or getattr(params, name) > 0.0}
+    grid = [params, *(replace(params, **{name: getattr(params, name) + sign * h})
+                      for name, h in steps.items() for sign in (-1.0, 1.0))]
+    columns, statuses = solve_columns(d, grid)
+    assume(set(statuses) == {SolutionStatus.INTERIOR_ROOT} and columns["b_star"][0] >= 0.01 * (hi - lo))
+    b, t, p_exec = (float(columns[key][0]) for key in ("b_star", "threshold", "p_exec"))
+    F, P, f = d.cdf(t), d.partial_expectation(t), d.pdf(t)
+    alpha, decides = params.alpha, 1.0 - params.p - params.q
+    slope = alpha + (1.0 - alpha) * p_exec  # L = -U_b
+    closed = {
+        ("alpha", "b_star"): -b * (1.0 - p_exec) / slope,
+        ("alpha", "p_exec"): decides * f * b / slope,
+        ("alpha", "revenue"): decides * (1.0 - alpha) * b**2 * f / slope,
+        ("alpha", "effective_spread"): -decides * f * alpha * b**2 / (p_exec**2 * slope),
+        ("strike", "b_star"): -p_exec / slope,
+        ("p", "b_star"): -(t * F - d.mean() + P) / slope,
+        ("q", "b_star"): -(P - t * (1.0 - F)) / slope,
+    }
+    signs = {("alpha", "b_star"): -1.0, ("alpha", "p_exec"): 1.0, ("alpha", "revenue"): 1.0,
+             ("alpha", "effective_spread"): -1.0, ("strike", "b_star"): -1.0, ("p", "b_star"): -1.0,
+             ("q", "b_star"): -1.0}
+    for (name, key), form in closed.items():
+        if name not in steps:
+            continue
+        k = 1 + 2 * list(steps).index(name)
+        down, up, h = columns[key][k], columns[key][k + 1], steps[name]
+        central = (up - down) / (2.0 * h)
+        rounding = 4.0 * np.finfo(float).eps * (abs(up) + abs(down)) / (2.0 * h)
+        assert abs(central - form) <= 1e-5 * abs(form) + rounding, (name, key)
+        if f > 0.0:
+            assert np.sign(form) == np.sign(central) == signs[name, key], (name, key)
 
 
 class TestAuctionParams:
